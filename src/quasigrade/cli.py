@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 on success (all checks hold), 1 when a verifier reports a
-violated inequality or an internal fit validation fails (both signal a defect
-in this package, never bad input), 2 on malformed or infeasible input.
+violated inequality, an internal fit validation fails or an internal
+assertion trips (all signal a defect in this package, never bad input), 2 on
+malformed or infeasible input.
 """
 
 from __future__ import annotations
@@ -36,7 +37,13 @@ def _parse_int_list(text: str, what: str, minimum: int) -> tuple[int, ...]:
     return values
 
 
+def _require_nonnegative(value: int | None, flag: str) -> None:
+    if value is not None and value < 0:
+        raise QuasigradeError(f"{flag} must be >= 0")
+
+
 def _cmd_ehrhart(args: argparse.Namespace) -> int:
+    _require_nonnegative(args.max_dilate, "--max-dilate")
     poly = polytope.load_polytope(args.file)
     q = polytope.ehrhart_quasipolynomial(poly)
     print(quasipoly.format_quasipolynomial(q))
@@ -159,6 +166,7 @@ def random_suite(mode: str, seed: int, count: int) -> int:
 
 
 def _cmd_random_suite(args: argparse.Namespace) -> int:
+    _require_nonnegative(args.count, "--count")
     violations = random_suite(args.mode, args.seed, args.count)
     print(f"checked={args.count} violations={violations}")
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
@@ -218,6 +226,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (QuasigradeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except AssertionError as exc:
+        print(f"error: internal: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
 
 
 if __name__ == "__main__":

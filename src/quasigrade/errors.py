@@ -27,6 +27,3 @@ class InconsistentFitError(QuasigradeError):
 class PolytopeError(QuasigradeError, ValueError):
     """Invalid polytope data (empty set, unbounded set, degenerate input)."""
 
-
-class KernelConfigError(QuasigradeError, ValueError):
-    """Unknown counting-backend selection."""

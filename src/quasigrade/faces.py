@@ -89,25 +89,34 @@ def affine_span_contains_lattice_point(face: Face) -> bool:
     return solve_integer(IntMatrix.from_rows(rows), rhs) is not None
 
 
+def _delta_star(face_results: tuple[tuple[Face, bool], ...], dim: int) -> int | None:
+    """Smallest delta at which every delta-face passed, from sorted span results.
+
+    None when the top face (the polytope, last in the sorted list) fails.
+    The pass condition is monotone in delta (each higher face contains a
+    passing lower face inside its span), so the first all-pass level found
+    scanning upward is the minimum.
+    """
+    if not face_results[-1][1]:
+        return None
+    for delta in range(0, dim + 1):
+        if all(ok for f, ok in face_results if f.dim == delta):
+            return delta
+    raise AssertionError("the polytope is its own passing top face")
+
+
+def _span_results(p: RationalPolytope) -> tuple[tuple[Face, bool], ...]:
+    return tuple((f, affine_span_contains_lattice_point(f)) for f in enumerate_faces(p))
+
+
 def min_delta_hypothesis(p: RationalPolytope) -> int | None:
     """Smallest delta such that every delta-face's span has a lattice point.
 
     Returns None when even the span of the polytope itself has no lattice
     point; then no delta can work, since every face's span sits inside the
-    polytope's span.  The pass condition is monotone in delta (each higher
-    face contains a passing lower face inside its span), so the first
-    all-pass level found scanning upward is the minimum.
+    polytope's span.
     """
-    faces = enumerate_faces(p)
-    top = faces[-1]
-    if not affine_span_contains_lattice_point(top):
-        return None
-    for delta in range(0, p.dim + 1):
-        if all(
-            affine_span_contains_lattice_point(f) for f in faces if f.dim == delta
-        ):
-            return delta
-    raise AssertionError("the polytope is its own passing top face")
+    return _delta_star(_span_results(p), p.dim)
 
 
 @dataclass(frozen=True)
@@ -132,21 +141,18 @@ class EhrhartGradeReport:
         return self.delta_star - 1 - self.grade
 
 
-def verify_ehrhart_grade_bound(
-    p: RationalPolytope, backend: str | None = None
-) -> EhrhartGradeReport:
+def verify_ehrhart_grade_bound(p: RationalPolytope) -> EhrhartGradeReport:
     """Check grade E_P < delta_star on one polytope.
 
     When the polytope's own span has no lattice point the hypothesis is
     vacuous for every delta and nothing is checked (holds stays True).  A
     False outcome otherwise signals a defect in this package.
     """
-    q = _polytope.ehrhart_quasipolynomial(p, backend=backend)
+    q = _polytope.ehrhart_quasipolynomial(p)
     pi_min, canon = quasipoly.minimal_period(q)
     g = quasipoly.grade(canon)
-    faces = enumerate_faces(p)
-    results = tuple((f, affine_span_contains_lattice_point(f)) for f in faces)
-    delta_star = min_delta_hypothesis(p)
+    results = _span_results(p)
+    delta_star = _delta_star(results, p.dim)
     holds = True if delta_star is None else g < delta_star
     return EhrhartGradeReport(
         polytope=p,

@@ -3,9 +3,9 @@
 Polytopes are stored with exact rational vertices together with an
 integer-cleared H-representation (facet inequalities a·x <= b plus affine-hull
 equalities c·x = d).  Construction always verifies that both descriptions cut
-out the same set.  Lattice points of the n-th dilate are counted by exact
-enumeration of the bounding box, which doubles as a trustworthy oracle for the
-fitted Ehrhart quasipolynomial.
+out the same set.  Lattice points of the n-th dilate are counted exactly, slice
+by slice over the bounding box, and those counts are the samples and the
+held-out checks of the fitted Ehrhart quasipolynomial.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from typing import Sequence
 
@@ -232,6 +233,12 @@ class RationalPolytope:
         if any(len(v) != self.ambient_dim for v in self.vertices):
             raise ValueError("vertex of wrong dimension")
 
+    @cached_property
+    def box(self) -> tuple[Point, Point]:
+        """Coordinatewise minimum and maximum of the vertices."""
+        columns = list(zip(*self.vertices))
+        return tuple(map(min, columns)), tuple(map(max, columns))
+
 
 def _assemble(points: Sequence[Point], strict: bool) -> RationalPolytope:
     pts = sorted({tuple(Fraction(c) for c in p) for p in points})
@@ -272,21 +279,20 @@ def from_inequalities(
     return _assemble(verts, strict=False)
 
 
-def count_lattice_points(p: RationalPolytope, n: int, backend: str | None = None) -> int:
+def count_lattice_points(p: RationalPolytope, n: int) -> int:
     """Exact number of integer points in the n-th dilate n·P.
 
-    Enumerates the integer bounding box of n·P and tests a·x <= n·b for every
-    inequality and c·x = n·d for every equality.  The 0-th dilate is the
+    Counts the integer points of the bounding box of n·P with a·x <= n·b for
+    every inequality and c·x = n·d for every equality.  The 0-th dilate is the
     single point at the origin, so the count for n = 0 is always 1.
     """
     if n < 0:
         raise ValueError("dilation factor must be nonnegative")
-    m = p.ambient_dim
-    lo = [math.ceil(n * min(v[j] for v in p.vertices)) for j in range(m)]
-    hi = [math.floor(n * max(v[j] for v in p.vertices)) for j in range(m)]
+    lo = [math.ceil(n * c) for c in p.box[0]]
+    hi = [math.floor(n * c) for c in p.box[1]]
     ineqs = [(a, n * b) for a, b in p.inequalities]
     eqs = [(c, n * d) for c, d in p.equalities]
-    return count_box(lo, hi, ineqs, eqs, backend=backend)
+    return count_box(lo, hi, ineqs, eqs)
 
 
 def vertex_denominator_lcm(p: RationalPolytope) -> int:
@@ -294,7 +300,7 @@ def vertex_denominator_lcm(p: RationalPolytope) -> int:
     return lcm_denominators([c for v in p.vertices for c in v])
 
 
-def ehrhart_quasipolynomial(p: RationalPolytope, backend: str | None = None) -> QuasiPolynomial:
+def ehrhart_quasipolynomial(p: RationalPolytope) -> QuasiPolynomial:
     """Quasipolynomial n -> #(n·P ∩ Z^m), fitted from exact counts.
 
     Samples run over n = 1, ..., D·(dim+1) with declared period
@@ -303,10 +309,10 @@ def ehrhart_quasipolynomial(p: RationalPolytope, backend: str | None = None) -> 
     """
     d = vertex_denominator_lcm(p)
     limit = d * (p.dim + 1)
-    samples = {n: count_lattice_points(p, n, backend=backend) for n in range(1, limit + 1)}
+    samples = {n: count_lattice_points(p, n) for n in range(1, limit + 1)}
     q = quasipoly.fit_from_samples(samples, d, p.dim)
     for n in range(limit + 1, limit + d + 1):
-        if quasipoly.evaluate(q, n) != count_lattice_points(p, n, backend=backend):
+        if quasipoly.evaluate(q, n) != count_lattice_points(p, n):
             raise InconsistentFitError(f"inconsistent fit: dilate count at n={n} disagrees")
     if q.degree != p.dim:
         raise InconsistentFitError("inconsistent fit: degree below the polytope dimension")

@@ -5,14 +5,6 @@ import pytest
 from quasigrade import polytope as pt
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # First numba call JIT-compiles the counting kernel; keep that one-time
-    # cost out of every timed assertion below.
-    seg = pt.from_vertices([(0,), (1,)])
-    pt.count_lattice_points(seg, 1)
-
-
 @pytest.fixture(scope="session")
 def square():
     return pt.from_vertices([(0, 0), (1, 0), (0, 1), (1, 1)])

@@ -1,6 +1,6 @@
 import pytest
 
-from quasigrade import cli
+from quasigrade import cli, polytope
 
 SQUARE = """ambient 2
 vertices 4
@@ -168,3 +168,34 @@ def test_bad_weights_exit_2(capsys):
     assert cli.main(["hilbert", "--weights", "1", "--numerator", "1,x"]) == 2
     assert cli.main(["verify-weighted", "--weights", "2", "--shifts", "-1"]) == 2
     capsys.readouterr()
+
+
+def test_negative_max_dilate_exits_2(capsys, square_file):
+    assert cli.main(["ehrhart", square_file, "--max-dilate", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --max-dilate must be >= 0\n"
+    assert captured.out == ""
+    code, out = run(capsys, "ehrhart", square_file, "--max-dilate", "0")
+    assert code == 0
+    assert out == "period=1 degree=2\n0: 1 2 1\n"
+
+
+def test_negative_count_exits_2(capsys):
+    assert cli.main(["random-suite", "--mode", "lemma", "--seed", "1", "--count", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --count must be >= 0\n"
+    assert captured.out == ""
+    code, out = run(capsys, "random-suite", "--mode", "lemma", "--seed", "1", "--count", "0")
+    assert code == 0
+    assert out == "checked=0 violations=0\n"
+
+
+def test_internal_assertion_exits_1(capsys, monkeypatch, square_file):
+    # With no square subsystem solvable, vertex enumeration finds no vertex
+    # of a feasible bounded system and trips its internal assertion.
+    monkeypatch.setattr(polytope, "rat_solve", lambda rows, rhs: None)
+    code = cli.main(["verify-polytope", square_file])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: internal: feasible bounded system must have a vertex\n"
+    assert captured.out == ""
