@@ -13,7 +13,6 @@ The package computes, with exact rational arithmetic throughout:
 
 from .exactmath import (
     IntMatrix,
-    RatMatrix,
     Rational,
     format_rational,
     lcm_denominators,

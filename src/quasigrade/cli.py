@@ -45,11 +45,13 @@ def _require_nonnegative(value: int | None, flag: str) -> None:
 def _cmd_ehrhart(args: argparse.Namespace) -> int:
     _require_nonnegative(args.max_dilate, "--max-dilate")
     poly = polytope.load_polytope(args.file)
-    q = polytope.ehrhart_quasipolynomial(poly)
+    counts: dict[int, int] = {}
+    q = polytope.ehrhart_quasipolynomial(poly, counts)
     print(quasipoly.format_quasipolynomial(q))
     if args.max_dilate is not None:
         for n in range(1, args.max_dilate + 1):
-            print(f"count n={n} value={polytope.count_lattice_points(poly, n)}")
+            value = counts[n] if n in counts else polytope.count_lattice_points(poly, n)
+            print(f"count n={n} value={value}")
     return EXIT_OK
 
 

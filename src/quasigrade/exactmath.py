@@ -134,32 +134,6 @@ class IntMatrix:
         return [sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class RatMatrix:
-    """Dense rational matrix, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[Fraction | int]]) -> "RatMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(Fraction(x) for row in rows for x in row))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-
 def rat_rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over the rationals; returns (rows, pivot columns)."""
     mat = [[Fraction(x) for x in row] for row in rows]
@@ -186,9 +160,8 @@ def rat_rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fracti
     return mat, pivots
 
 
-def rat_rank(matrix: RatMatrix | Sequence[Sequence[Fraction | int]]) -> int:
+def rat_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
     """Rank over the rationals, by exact fraction-preserving elimination."""
-    rows = matrix.to_rows() if isinstance(matrix, RatMatrix) else [list(r) for r in matrix]
     _, pivots = rat_rref(rows)
     return len(pivots)
 
@@ -229,6 +202,44 @@ def rat_solve(
     return x
 
 
+def _fraction_free_echelon(
+    rows: Sequence[Sequence[int]],
+) -> tuple[list[list[int]], list[int], int]:
+    """Row echelon form by fraction-free (Bareiss) elimination.
+
+    Returns (rows, pivot columns, sign of the row permutation).  After the
+    t-th pivot every entry below it is a (t+1)-minor of the input, so each
+    division by the previous pivot is exact and the entries never leave the
+    integers; the last pivot of a nonsingular square matrix is its
+    determinant up to that sign.
+    """
+    mat = [list(row) for row in rows]
+    pivots: list[int] = []
+    sign = 1
+    prev = 1
+    r = 0
+    for c in range(len(mat[0]) if mat else 0):
+        if r == len(mat):
+            break
+        pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        if pivot_row != r:
+            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+            sign = -sign
+        top = mat[r]
+        for i in range(r + 1, len(mat)):
+            row = mat[i]
+            lead = row[c]
+            for j in range(c + 1, len(row)):
+                row[j] = (row[j] * top[c] - lead * top[j]) // prev
+            row[c] = 0
+        prev = top[c]
+        pivots.append(c)
+        r += 1
+    return mat, pivots, sign
+
+
 def int_det(matrix: IntMatrix) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
     if matrix.rows != matrix.cols:
@@ -236,22 +247,39 @@ def int_det(matrix: IntMatrix) -> int:
     n = matrix.rows
     if n == 0:
         return 1
-    m = matrix.to_rows()
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    mat, pivots, sign = _fraction_free_echelon(matrix.to_rows())
+    return sign * mat[n - 1][n - 1] if len(pivots) == n else 0
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(_fraction_free_echelon(rows)[1])
+
+
+def int_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int] | None:
+    """The solution of a square integer system as (numerators, denominator > 0).
+
+    Returns None when the matrix is singular.  Fraction-free elimination of
+    the augmented matrix gives a triangular system whose last pivot is
+    D = ±det; D·x is an integer vector (Cramer's rule), so back-substitution
+    for D·x divides exactly.
+    """
+    n = len(rows)
+    if len(rhs) != n or any(len(row) != n for row in rows):
+        raise ValueError("int_solve needs a square system")
+    if n == 0:
+        return [], 1
+    mat, pivots, _ = _fraction_free_echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots[:n] != list(range(n)):
+        return None
+    den = mat[n - 1][n - 1]
+    num = [0] * n
+    for i in reversed(range(n)):
+        row = mat[i]
+        num[i] = (den * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+    if den < 0:
+        num, den = [-v for v in num], -den
+    return num, den
 
 
 def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:

@@ -64,14 +64,8 @@ def enumerate_faces(p: RationalPolytope) -> list[Face]:
     faces = []
     for vset in known:
         indices = tuple(sorted(vset))
-        points = [p.vertices[i] for i in indices]
-        faces.append(
-            Face(
-                vertex_indices=indices,
-                dim=_polytope._affine_rank(points),
-                hull_equalities=_polytope.affine_hull(points),
-            )
-        )
+        eqs = _polytope.affine_hull([p.vertices[i] for i in indices])
+        faces.append(Face(vertex_indices=indices, dim=p.ambient_dim - len(eqs), hull_equalities=eqs))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return faces
 

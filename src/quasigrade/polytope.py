@@ -2,10 +2,23 @@
 
 Polytopes are stored with exact rational vertices together with an
 integer-cleared H-representation (facet inequalities a·x <= b plus affine-hull
-equalities c·x = d).  Construction always verifies that both descriptions cut
-out the same set.  Lattice points of the n-th dilate are counted exactly, slice
-by slice over the bounding box, and those counts are the samples and the
-held-out checks of the fitted Ehrhart quasipolynomial.
+equalities c·x = d).  Construction runs on integers wherever it can:
+
+* From points, it computes the facet rows and the hull equalities of their
+  convex hull.  It then checks that every input point satisfies every row
+  and every equality (a failure is an internal error), and keeps as vertices
+  exactly the points at which the tight rows and the equalities have rank m.
+  The vertices are not derived a second time from the rows.
+* From inequalities, it enumerates the vertices of the set they describe,
+  rejects an empty or unbounded set, and then builds the polytope from those
+  vertices as above.  The stored rows are the facets of that set in
+  canonical form, not the input rows.
+* A file with both blocks is accepted only when every vertex satisfies the
+  inequality block and that block has exactly the same vertices.
+
+Lattice points of the n-th dilate are counted exactly, slice by slice over the
+bounding box, and those counts are the samples and the held-out checks of the
+fitted Ehrhart quasipolynomial.
 """
 
 from __future__ import annotations
@@ -21,14 +34,16 @@ from . import quasipoly
 from ._kernels import count_box
 from .errors import InconsistentFitError, InputFormatError, PolytopeError
 from .exactmath import (
+    IntMatrix,
     format_rational,
+    int_det,
+    int_rank,
+    int_solve,
     lcm_denominators,
     parse_rational,
     rat_det,
     rat_nullspace,
-    rat_rank,
     rat_rref,
-    rat_solve,
 )
 from .quasipoly import QuasiPolynomial
 
@@ -78,11 +93,20 @@ def affine_hull(points: Sequence[Sequence[Fraction | int]]) -> tuple[Equality, .
     return tuple(sorted(eqs))
 
 
-def _affine_rank(points: Sequence[Point]) -> int:
-    if len(points) <= 1:
-        return 0
-    v0 = points[0]
-    return rat_rank([[p[j] - v0[j] for j in range(len(v0))] for p in points[1:]])
+def _int_dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(ai * xi for ai, xi in zip(a, x))
+
+
+def _minor_normal(rows: Sequence[Sequence[int]]) -> list[int]:
+    """Signed maximal minors of a (k-1) x k integer matrix.
+
+    The vector is orthogonal to every row.  It is zero exactly when the rows
+    are linearly dependent, and otherwise spans their orthogonal complement.
+    """
+    return [
+        (-1) ** j * int_det(IntMatrix.from_rows([row[:j] + row[j + 1 :] for row in rows]))
+        for j in range(len(rows) + 1)
+    ]
 
 
 def hrep_from_vrep(
@@ -90,9 +114,15 @@ def hrep_from_vrep(
 ) -> tuple[tuple[Inequality, ...], tuple[Equality, ...]]:
     """Facet inequalities and hull equalities of the convex hull of the input.
 
-    Candidate hyperplanes are spanned by dim-subsets of the points inside the
-    affine hull; those keeping all points on one closed side and touching a
-    (dim-1)-dimensional subset are the facets.
+    Each point is mapped once to integers: its pivot coordinates (those of
+    the reduced echelon form of the point differences) times their common
+    denominator.  On the affine hull, of dimension k, this map is an affine
+    isomorphism onto Q^k.  There a k-subset of the points spans a hyperplane
+    exactly when the signed (k-1)-minors of its differences are not all
+    zero, and those minors are its normal; the hyperplane is a facet when
+    every point lies on one closed side.  Subsets inside the points of a
+    facet already found are skipped, so each facet is found once, and its
+    row is the primitive normal inside the direction space of the hull.
     """
     if not vertices:
         raise ValueError("need at least one vertex")
@@ -106,63 +136,35 @@ def hrep_from_vrep(
     k = m - len(eqs)
     if k == 0:
         return (), eqs
-    dir_rows = [[p[j] - pts[0][j] for j in range(m)] for p in pts[1:]]
-    rref, pivots = rat_rref(dir_rows)
-    basis = rref[: len(pivots)]
-    found: set[Inequality] = set()
-    for subset in combinations(pts, k):
-        t0 = subset[0]
-        rows = [[_dot(b, [t[j] - t0[j] for j in range(m)]) for b in basis] for t in subset[1:]]
-        null = rat_nullspace(rows if rows else [[Fraction(0)] * k])
-        if len(null) != 1:
+    rref, pivots = rat_rref([[p[j] - pts[0][j] for j in range(m)] for p in pts[1:]])
+    basis = rref[:k]
+    # dual = G^-1 · basis, G the Gram matrix of the basis, read off the
+    # reduced form of (G | basis).  Its rows lie in the direction space, and
+    # dual[l]·d is the l-th pivot coordinate of any direction d.
+    dual = [row[k:] for row in rat_rref([[_dot(b, c) for c in basis] + b for b in basis])[0]]
+    scale = lcm_denominators(p[j] for p in pts for j in pivots)
+    coords = [tuple(int(p[j] * scale) for j in pivots) for p in pts]
+    facet_masks: list[int] = []
+    rows: list[Inequality] = []
+    for subset in combinations(range(len(coords)), k):
+        bits = sum(1 << i for i in subset)
+        if any(bits & ~mask == 0 for mask in facet_masks):
             continue
-        normal = [
-            sum((null[0][l] * basis[l][j] for l in range(k)), Fraction(0)) for j in range(m)
-        ]
-        rhs = _dot(normal, t0)
-        values = [_dot(normal, p) for p in pts]
-        if all(v <= rhs for v in values):
-            pass
-        elif all(v >= rhs for v in values):
+        q0 = coords[subset[0]]
+        normal = _minor_normal([[a - b for a, b in zip(coords[i], q0)] for i in subset[1:]])
+        if not any(normal):
+            continue
+        rhs = _int_dot(normal, q0)
+        values = [_int_dot(normal, q) for q in coords]
+        above = max(values) > rhs
+        if above and min(values) < rhs:
+            continue
+        if above:
             normal = [-c for c in normal]
-            rhs = -rhs
-            values = [-v for v in values]
-        else:
-            continue
-        incident = [p for p, v in zip(pts, values) if v == rhs]
-        if _affine_rank(incident) != k - 1:
-            continue
-        found.add(_clear_row(normal, rhs))
-    return tuple(sorted(found)), eqs
-
-
-def _fm_feasible(rows: list[tuple[list[Fraction], Fraction]], m: int) -> bool:
-    """Fourier-Motzkin feasibility of the system {a·x <= b}."""
-    current = rows
-    for j in range(m):
-        zero, pos, neg = [], [], []
-        for a, b in current:
-            if a[j] == 0:
-                zero.append((a, b))
-            elif a[j] > 0:
-                pos.append((a, b))
-            else:
-                neg.append((a, b))
-        combined = zero
-        for ap, bp in pos:
-            for an, bn in neg:
-                scale_p = -an[j]
-                scale_n = ap[j]
-                row = [scale_p * x + scale_n * y for x, y in zip(ap, an)]
-                combined.append((row, scale_p * bp + scale_n * bn))
-        seen: set[tuple] = set()
-        current = []
-        for a, b in combined:
-            key = _clear_row(a, b)
-            if key not in seen:
-                seen.add(key)
-                current.append(([Fraction(v) for v in key[0]], Fraction(key[1])))
-    return all(b >= 0 for _, b in current)
+        facet_masks.append(sum(1 << i for i, v in enumerate(values) if v == rhs))
+        ambient = [_dot(normal, column) for column in zip(*dual)]
+        rows.append(_clear_row(ambient, _dot(ambient, pts[subset[0]])))
+    return tuple(sorted(rows)), eqs
 
 
 def vrep_from_hrep(
@@ -172,48 +174,49 @@ def vrep_from_hrep(
 ) -> list[Point]:
     """Vertices of the bounded set {a·x <= b, c·x = d}.
 
-    Candidates are the solutions of maximal-rank square subsystems of active
-    constraints, filtered by feasibility.  Raises on empty or unbounded input.
+    First the equations l·x = 0, for l spanning the nullspace of all normals
+    (the lineality space), are added: the set stays nonempty exactly when it
+    was, and the normals get rank m, so a nonempty set has a vertex.  The
+    candidates solve square systems of the independent equalities, those
+    equations and the missing number of inequalities, by fraction-free
+    elimination; the feasible ones are the vertices.  With none the set is
+    empty.  A nonempty set is unbounded when it has a lineality space or a
+    ray, spanned by the minors of m-1 normals, along which it recedes.
     """
     m = ambient_dim
     if m < 1:
         raise PolytopeError("degenerate input: ambient dimension 0")
     ineqs = [(tuple(int(c) for c in a), int(b)) for a, b in inequalities]
     eqs = [(tuple(int(c) for c in a), int(b)) for a, b in equalities]
-    fm_rows = [([Fraction(c) for c in a], Fraction(b)) for a, b in ineqs]
-    for c, d in eqs:
-        fm_rows.append(([Fraction(v) for v in c], Fraction(d)))
-        fm_rows.append(([Fraction(-v) for v in c], Fraction(-d)))
-    if not _fm_feasible(fm_rows, m):
+    normals = [a for a, _ in ineqs] + [c for c, _ in eqs]
+    lineality = rat_nullspace(normals if normals else [[0] * m])
+    eq_rref, eq_pivots = rat_rref([list(c) + [d] for c, d in eqs])
+    if m in eq_pivots:
         raise PolytopeError("empty")
-    normals = [list(a) for a, _ in ineqs] + [list(c) for c, _ in eqs]
-    if rat_rank(normals if normals else [[0] * m]) < m:
-        raise PolytopeError("unbounded")
-    for subset in combinations(range(len(normals)), m - 1):
-        null = rat_nullspace([normals[i] for i in subset] if subset else [[0] * m])
-        if len(null) != 1:
+    pinned = [_clear_row(row[:m], row[m]) for row in eq_rref[: len(eq_pivots)]]
+    pinned += [_clear_row(v, Fraction(0)) for v in lineality]
+    seen: set[Point] = set()
+    for subset in combinations(ineqs, m - len(pinned)):
+        system = pinned + list(subset)
+        solved = int_solve([a for a, _ in system], [b for _, b in system])
+        if solved is None:
             continue
-        ray = null[0]
+        num, den = solved
+        if all(_int_dot(a, num) <= b * den for a, b in ineqs):
+            seen.add(tuple(Fraction(v, den) for v in num))
+    if not seen:
+        raise PolytopeError("empty")
+    if lineality:
+        raise PolytopeError("unbounded")
+    for subset in combinations(normals, m - 1):
+        ray = _minor_normal(subset)
+        if not any(ray):
+            continue
         for direction in (ray, [-x for x in ray]):
-            if all(_dot(a, direction) <= 0 for a, _ in ineqs) and all(
-                _dot(c, direction) == 0 for c, _ in eqs
+            if all(_int_dot(a, direction) <= 0 for a, _ in ineqs) and all(
+                _int_dot(c, direction) == 0 for c, _ in eqs
             ):
                 raise PolytopeError("unbounded")
-    eq_rows = [list(c) for c, _ in eqs]
-    eq_rhs = [d for _, d in eqs]
-    need = m - rat_rank(eq_rows if eq_rows else [[0] * m])
-    seen: set[Point] = set()
-    for subset in combinations(range(len(ineqs)), need):
-        rows = eq_rows + [list(ineqs[i][0]) for i in subset]
-        rhs = eq_rhs + [ineqs[i][1] for i in subset]
-        if rat_rank(rows) < m:
-            continue
-        x = rat_solve(rows, rhs)
-        if x is None:
-            continue
-        if all(_dot(a, x) <= b for a, b in ineqs) and all(_dot(c, x) == d for c, d in eqs):
-            seen.add(tuple(x))
-    assert seen, "feasible bounded system must have a vertex"
     return sorted(seen)
 
 
@@ -241,17 +244,30 @@ class RationalPolytope:
 
 
 def _assemble(points: Sequence[Point], strict: bool) -> RationalPolytope:
+    """Polytope from the hull of the points; its vertices are found by a rank test.
+
+    Every point must satisfy every row of the hull (an internal check).  A
+    point is a vertex exactly when the normals of the rows tight at it,
+    together with the equality normals, have rank m.
+    """
     pts = sorted({tuple(Fraction(c) for c in p) for p in points})
     m = len(pts[0])
     ineqs, eqs = hrep_from_vrep(pts)
-    verts = vrep_from_hrep(ineqs, eqs, m)
-    if strict and set(verts) != set(pts):
+    eq_normals = [c for c, _ in eqs]
+    verts = []
+    for p in pts:
+        scale = lcm_denominators(p)
+        x = [int(c * scale) for c in p]
+        slacks = [b * scale - _int_dot(a, x) for a, b in ineqs]
+        if min(slacks, default=0) < 0 or any(_int_dot(c, x) != d * scale for c, d in eqs):
+            raise AssertionError("point violates its own hull")
+        tight = [a for (a, _), s in zip(ineqs, slacks) if s == 0]
+        if int_rank(tight + eq_normals) == m:
+            verts.append(p)
+    if strict and len(verts) != len(pts):
         extras = sorted(set(pts) - set(verts))
         shown = " ".join(str(tuple(map(str, p))) for p in extras[:3])
         raise PolytopeError(f"vertex list is not irredundant: {shown}")
-    for v in verts:
-        if any(_dot(a, v) > b for a, b in ineqs) or any(_dot(c, v) != d for c, d in eqs):
-            raise AssertionError("vertex violates its own hull")
     return RationalPolytope(
         ambient_dim=m,
         vertices=tuple(verts),
@@ -300,19 +316,24 @@ def vertex_denominator_lcm(p: RationalPolytope) -> int:
     return lcm_denominators([c for v in p.vertices for c in v])
 
 
-def ehrhart_quasipolynomial(p: RationalPolytope) -> QuasiPolynomial:
+def ehrhart_quasipolynomial(
+    p: RationalPolytope, counts: dict[int, int] | None = None
+) -> QuasiPolynomial:
     """Quasipolynomial n -> #(n·P ∩ Z^m), fitted from exact counts.
 
     Samples run over n = 1, ..., D·(dim+1) with declared period
     D = lcm of vertex denominators; the result is canonicalized and then
-    validated against D further counts.
+    validated against D further counts.  When ``counts`` is given, every
+    count made here is stored in it under its n.
     """
     d = vertex_denominator_lcm(p)
     limit = d * (p.dim + 1)
-    samples = {n: count_lattice_points(p, n) for n in range(1, limit + 1)}
-    q = quasipoly.fit_from_samples(samples, d, p.dim)
+    counts = {} if counts is None else counts
+    for n in range(1, limit + d + 1):
+        counts[n] = count_lattice_points(p, n)
+    q = quasipoly.fit_from_samples({n: counts[n] for n in range(1, limit + 1)}, d, p.dim)
     for n in range(limit + 1, limit + d + 1):
-        if quasipoly.evaluate(q, n) != count_lattice_points(p, n):
+        if quasipoly.evaluate(q, n) != counts[n]:
             raise InconsistentFitError(f"inconsistent fit: dilate count at n={n} disagrees")
     if q.degree != p.dim:
         raise InconsistentFitError("inconsistent fit: degree below the polytope dimension")

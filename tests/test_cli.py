@@ -60,6 +60,23 @@ def test_ehrhart_max_dilate(capsys, square_file):
     ]
 
 
+def test_max_dilate_counts_each_dilate_once(capsys, monkeypatch, square_file):
+    # The fit and the held-out check count n = 1..4 for the square; the
+    # printed counts reuse them and count only n = 5, 6.
+    made = []
+    count = polytope.count_lattice_points
+
+    def recording(p, n):
+        made.append(n)
+        return count(p, n)
+
+    monkeypatch.setattr(polytope, "count_lattice_points", recording)
+    code, out = run(capsys, "ehrhart", square_file, "--max-dilate", "6")
+    assert code == 0
+    assert out.splitlines()[2:] == [f"count n={n} value={(n + 1) ** 2}" for n in range(1, 7)]
+    assert made == [1, 2, 3, 4, 5, 6]
+
+
 def test_verify_polytope_halfseg(capsys, halfseg_file):
     code, out = run(capsys, "verify-polytope", halfseg_file)
     assert code == 0
@@ -191,11 +208,17 @@ def test_negative_count_exits_2(capsys):
 
 
 def test_internal_assertion_exits_1(capsys, monkeypatch, square_file):
-    # With no square subsystem solvable, vertex enumeration finds no vertex
-    # of a feasible bounded system and trips its internal assertion.
-    monkeypatch.setattr(polytope, "rat_solve", lambda rows, rhs: None)
+    # A hull whose facet rows are all tightened by one cuts off the input
+    # points, so the hull self-check in construction trips its assertion.
+    hrep = polytope.hrep_from_vrep
+
+    def tightened(points):
+        ineqs, eqs = hrep(points)
+        return tuple((a, b - 1) for a, b in ineqs), eqs
+
+    monkeypatch.setattr(polytope, "hrep_from_vrep", tightened)
     code = cli.main(["verify-polytope", square_file])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == "error: internal: feasible bounded system must have a vertex\n"
+    assert captured.err == "error: internal: point violates its own hull\n"
     assert captured.out == ""

@@ -2,16 +2,20 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from quasigrade.errors import InputFormatError
 from quasigrade.exactmath import (
     IntMatrix,
-    RatMatrix,
     format_rational,
     int_det,
+    int_rank,
+    int_solve,
     lcm_denominators,
     parse_rational,
+    rat_det,
     rat_rank,
+    rat_solve,
     smith_normal_form,
     solve_integer,
 )
@@ -45,9 +49,9 @@ def test_lcm_denominators():
 
 
 def test_rat_rank_examples():
-    assert rat_rank(RatMatrix.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 3
-    assert rat_rank(RatMatrix.from_rows([[0, 0], [0, 0]])) == 0
-    assert rat_rank(RatMatrix.from_rows([[1, 2], [2, 4]])) == 1
+    assert rat_rank([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 3
+    assert rat_rank([[0, 0], [0, 0]]) == 0
+    assert rat_rank([[1, 2], [2, 4]]) == 1
 
 
 def test_snf_identity():
@@ -94,7 +98,7 @@ def test_snf_random_properties():
             [[rng.int_between(-9, 9) for _ in range(cols)] for _ in range(rows)]
         )
         diag = _check_snf(a)
-        rank = rat_rank(RatMatrix.from_rows(a.to_rows()))
+        rank = rat_rank(a.to_rows())
         assert rank == sum(1 for x in diag if x != 0)
 
 
@@ -111,7 +115,7 @@ def test_rank_matches_snf_of_cleared_rationals():
             [[int(x * scale) for x in row] for row in rat_rows]
         )
         diag = _check_snf(cleared)
-        assert rat_rank(RatMatrix.from_rows(rat_rows)) == sum(1 for x in diag if x)
+        assert rat_rank(rat_rows) == sum(1 for x in diag if x)
 
 
 def test_solve_integer_examples():
@@ -147,3 +151,44 @@ def test_solve_integer_random():
             unsolved += 1
             assert not _box_has_solution(a, b)
     assert solved and unsolved  # the sample exercises both outcomes
+
+
+_int_rows = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=0, max_size=5
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_int_rows)
+def test_int_rank_matches_rat_rank(rows):
+    assert int_rank(rows) == rat_rank(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 4).flatmap(
+    lambda n: st.tuples(
+        st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), min_size=n, max_size=n),
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+    )
+))
+def test_int_det_and_int_solve_match_fractions(system):
+    rows, rhs = system
+    n = len(rows)
+    det = int_det(IntMatrix(n, n, tuple(x for row in rows for x in row)))
+    assert det == (rat_det(rows) if n else 1)
+    solved = int_solve(rows, rhs)
+    if det == 0:
+        assert solved is None
+    else:
+        num, den = solved
+        assert den > 0
+        assert [F(v, den) for v in num] == rat_solve(rows, rhs)
+
+
+def test_int_solve_examples():
+    assert int_solve([[2, 0], [0, 3]], [1, 1]) == ([3, 2], 6)
+    assert int_solve([[0, 1], [1, 0]], [5, 7]) == ([7, 5], 1)
+    assert int_solve([[1, 2], [2, 4]], [1, 2]) is None
+    assert int_solve([], []) == ([], 1)
