@@ -240,14 +240,14 @@ def _fraction_free_echelon(
     return mat, pivots, sign
 
 
-def int_det(matrix: IntMatrix) -> int:
+def int_det(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
-    if matrix.rows != matrix.cols:
+    n = len(rows)
+    if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
-    n = matrix.rows
     if n == 0:
         return 1
-    mat, pivots, sign = _fraction_free_echelon(matrix.to_rows())
+    mat, pivots, sign = _fraction_free_echelon(rows)
     return sign * mat[n - 1][n - 1] if len(pivots) == n else 0
 
 

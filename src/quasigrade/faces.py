@@ -14,14 +14,19 @@ from dataclasses import dataclass
 from . import polytope as _polytope
 from . import quasipoly
 from .errors import PolytopeError
-from .exactmath import IntMatrix, solve_integer
+from .exactmath import IntMatrix, int_rank, solve_integer
 from .polytope import Equality, RationalPolytope
 from .quasipoly import QuasiPolynomial
 
 
 @dataclass(frozen=True)
 class Face:
-    """A face of a parent polytope, recorded by the vertices it contains."""
+    """A face of a parent polytope, recorded by the vertices it contains.
+
+    ``hull_equalities`` cut out the affine span of the face: the equalities
+    of the polytope, then every facet row that holds all of its vertices.
+    The rows may be redundant; ``dim`` is m minus their rank.
+    """
 
     vertex_indices: tuple[int, ...]
     dim: int
@@ -37,19 +42,16 @@ def enumerate_faces(p: RationalPolytope) -> list[Face]:
     Faces are exactly the intersections of facet subsets, so the family of
     facet vertex-sets is closed under intersection starting from the whole
     vertex set; empty intersections are dropped and duplicates collapse
-    because a face is determined by its vertices.  Results are sorted by
-    (dim, vertex indices).
+    because a face is determined by its vertices.  The polytope's equalities
+    and the facet rows tight at all vertices of a face cut out its affine
+    span; they are its hull equalities.  Results are sorted by (dim, vertex
+    indices).
     """
     if len(p.inequalities) > MAX_FACETS:
         raise PolytopeError(f"face enumeration is capped at {MAX_FACETS} facets")
     everything = frozenset(range(len(p.vertices)))
-    facet_sets = []
-    for a, b in p.inequalities:
-        incident = frozenset(
-            i for i, v in enumerate(p.vertices) if _polytope._dot(a, v) == b
-        )
-        if incident:
-            facet_sets.append(incident)
+    incidence = _polytope.incidence(p.vertices, p.inequalities)
+    facet_sets = [s for s in incidence if s]
     known: set[frozenset[int]] = {everything} | set(facet_sets)
     frontier = list(known)
     while frontier:
@@ -63,9 +65,9 @@ def enumerate_faces(p: RationalPolytope) -> list[Face]:
         frontier = nxt
     faces = []
     for vset in known:
-        indices = tuple(sorted(vset))
-        eqs = _polytope.affine_hull([p.vertices[i] for i in indices])
-        faces.append(Face(vertex_indices=indices, dim=p.ambient_dim - len(eqs), hull_equalities=eqs))
+        eqs = p.equalities + tuple(row for row, s in zip(p.inequalities, incidence) if vset <= s)
+        dim = p.ambient_dim - int_rank([c for c, _ in eqs])
+        faces.append(Face(vertex_indices=tuple(sorted(vset)), dim=dim, hull_equalities=eqs))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return faces
 

@@ -11,8 +11,9 @@ equalities c·x = d).  Construction runs on integers wherever it can:
   The vertices are not derived a second time from the rows.
 * From inequalities, it enumerates the vertices of the set they describe,
   rejects an empty or unbounded set, and then builds the polytope from those
-  vertices as above.  The stored rows are the facets of that set in
-  canonical form, not the input rows.
+  vertices as above, except that the facet scan visits only subsets of the
+  vertices tight at one input row.  The stored rows are the facets of that
+  set in canonical form, not the input rows.
 * A file with both blocks is accepted only when every vertex satisfies the
   inequality block and that block has exactly the same vertices.
 
@@ -34,7 +35,6 @@ from . import quasipoly
 from ._kernels import count_box
 from .errors import InconsistentFitError, InputFormatError, PolytopeError
 from .exactmath import (
-    IntMatrix,
     format_rational,
     int_det,
     int_rank,
@@ -97,6 +97,25 @@ def _int_dot(a: Sequence[int], x: Sequence[int]) -> int:
     return sum(ai * xi for ai, xi in zip(a, x))
 
 
+def _scaled(p: Point) -> tuple[list[int], int]:
+    """(s·p, s) with s the lcm of the denominators of p, so s·p is integral."""
+    scale = lcm_denominators(p)
+    return [int(c * scale) for c in p], scale
+
+
+def incidence(points: Sequence[Point], rows: Sequence[Inequality]) -> list[frozenset[int]]:
+    """For each row a·x <= b, the indices of the points with a·x = b.
+
+    Each point is scaled to integers once, and the rows are compared by
+    integer dot products.
+    """
+    scaled = [_scaled(p) for p in points]
+    return [
+        frozenset(i for i, (x, s) in enumerate(scaled) if _int_dot(a, x) == b * s)
+        for a, b in rows
+    ]
+
+
 def _minor_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     """Signed maximal minors of a (k-1) x k integer matrix.
 
@@ -104,7 +123,7 @@ def _minor_normal(rows: Sequence[Sequence[int]]) -> list[int]:
     are linearly dependent, and otherwise spans their orthogonal complement.
     """
     return [
-        (-1) ** j * int_det(IntMatrix.from_rows([row[:j] + row[j + 1 :] for row in rows]))
+        (-1) ** j * int_det([row[:j] + row[j + 1 :] for row in rows])
         for j in range(len(rows) + 1)
     ]
 
@@ -132,6 +151,19 @@ def hrep_from_vrep(
         raise PolytopeError("degenerate input: ambient dimension 0")
     if any(len(p) != m for p in pts):
         raise ValueError("points of mixed dimension")
+    return _scan_facets(pts, [range(len(pts))])
+
+
+def _scan_facets(
+    pts: list[Point], groups: Sequence[Sequence[int]]
+) -> tuple[tuple[Inequality, ...], tuple[Equality, ...]]:
+    """The subset scan of ``hrep_from_vrep`` over the k-subsets of each group.
+
+    ``pts`` are sorted and distinct, and each group lists indices into them.
+    The rows are those of the full scan as long as the points of every facet
+    lie inside one of the groups.
+    """
+    m = len(pts[0])
     eqs = affine_hull(pts)
     k = m - len(eqs)
     if k == 0:
@@ -146,7 +178,7 @@ def hrep_from_vrep(
     coords = [tuple(int(p[j] * scale) for j in pivots) for p in pts]
     facet_masks: list[int] = []
     rows: list[Inequality] = []
-    for subset in combinations(range(len(coords)), k):
+    for subset in (s for group in groups for s in combinations(group, k)):
         bits = sum(1 << i for i in subset)
         if any(bits & ~mask == 0 for mask in facet_masks):
             continue
@@ -243,21 +275,20 @@ class RationalPolytope:
         return tuple(map(min, columns)), tuple(map(max, columns))
 
 
-def _assemble(points: Sequence[Point], strict: bool) -> RationalPolytope:
-    """Polytope from the hull of the points; its vertices are found by a rank test.
+def _assemble(
+    pts: list[Point], ineqs: tuple[Inequality, ...], eqs: tuple[Equality, ...], strict: bool
+) -> RationalPolytope:
+    """Polytope from sorted distinct points and the rows of their hull.
 
     Every point must satisfy every row of the hull (an internal check).  A
     point is a vertex exactly when the normals of the rows tight at it,
     together with the equality normals, have rank m.
     """
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
     m = len(pts[0])
-    ineqs, eqs = hrep_from_vrep(pts)
     eq_normals = [c for c, _ in eqs]
     verts = []
     for p in pts:
-        scale = lcm_denominators(p)
-        x = [int(c * scale) for c in p]
+        x, scale = _scaled(p)
         slacks = [b * scale - _int_dot(a, x) for a, b in ineqs]
         if min(slacks, default=0) < 0 or any(_int_dot(c, x) != d * scale for c, d in eqs):
             raise AssertionError("point violates its own hull")
@@ -277,22 +308,33 @@ def _assemble(points: Sequence[Point], strict: bool) -> RationalPolytope:
     )
 
 
+def _from_points(points: Sequence[Sequence[Fraction | int]], strict: bool) -> RationalPolytope:
+    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    return _assemble(pts, *hrep_from_vrep(pts), strict=strict)
+
+
 def from_vertices(points: Sequence[Sequence[Fraction | int]]) -> RationalPolytope:
     """Polytope from an irredundant vertex list (rejects interior points)."""
-    return _assemble([tuple(Fraction(c) for c in p) for p in points], strict=True)
+    return _from_points(points, strict=True)
 
 
 def from_point_cloud(points: Sequence[Sequence[Fraction | int]]) -> RationalPolytope:
     """Convex hull of arbitrary points; redundant ones are dropped."""
-    return _assemble([tuple(Fraction(c) for c in p) for p in points], strict=False)
+    return _from_points(points, strict=False)
 
 
 def from_inequalities(
     inequalities: Sequence[Inequality], ambient_dim: int
 ) -> RationalPolytope:
-    """Polytope from inequalities alone; must describe a bounded nonempty set."""
+    """Polytope from inequalities alone; must describe a bounded nonempty set.
+
+    Every facet of the set is the set of its points on some input row, so
+    the facet scan visits only the subsets of the vertices tight at one
+    input row.  A row tight at every vertex holds no facet and is left out.
+    """
     verts = vrep_from_hrep(inequalities, (), ambient_dim)
-    return _assemble(verts, strict=False)
+    tight = {s for s in incidence(verts, inequalities) if len(s) < len(verts)}
+    return _assemble(verts, *_scan_facets(verts, sorted(map(sorted, tight))), strict=False)
 
 
 def count_lattice_points(p: RationalPolytope, n: int) -> int:

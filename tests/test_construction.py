@@ -231,3 +231,34 @@ def test_point_on_an_edge_of_four_facets_is_not_a_vertex():
     assert len(tight) == 4 and rat_rank(tight) == 3
     with pytest.raises(PolytopeError, match="irredundant"):
         pt.from_vertices(corners + [midpoint])
+
+
+def _cube_rows(m):
+    rows = []
+    for j in range(m):
+        unit = tuple(int(i == j) for i in range(m))
+        rows += [(unit, 1), (tuple(-u for u in unit), 1)]
+    return rows
+
+
+_CUBE4 = [tuple(2 * ((i >> j) & 1) - 1 for j in range(4)) for i in range(16)]
+
+
+@pytest.mark.parametrize(
+    "ineqs, m, vertices",
+    [
+        # Each facet of the 4-cube holds 8 vertices, and the first four of
+        # them in sorted order are coplanar.  One row is repeated scaled by
+        # 2, and one row is loose.
+        (_cube_rows(4) + [((0, 0, 2, 0), 2), ((1, 1, 1, 1), 5)], 4, _CUBE4),
+        # x + y <= 2 is tight at the single vertex (1, 1) of the unit square.
+        ([((1, 0), 1), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 0), ((1, 1), 2)], 2,
+         [(0, 0), (1, 0), (0, 1), (1, 1)]),
+        # The first two rows imply x + y = 1, and they are tight at every vertex.
+        ([((1, 1), 1), ((-1, -1), -1), ((-1, 0), 0), ((0, -1), 0)], 2, [(0, 1), (1, 0)]),
+    ],
+)
+def test_from_inequalities_matches_hull_of_its_vertices(ineqs, m, vertices):
+    expected = _fields(pt.from_point_cloud(vertices))
+    assert _fields(pt.from_inequalities(ineqs, m)) == expected
+    assert set(expected[0]) == {tuple(F(c) for c in v) for v in vertices}

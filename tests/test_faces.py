@@ -1,11 +1,16 @@
+import glob
+import os
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from quasigrade import faces as fc, polytope as pt, quasipoly as qp
 from quasigrade.exactmath import IntMatrix, solve_integer
 from quasigrade.rng import XorShift64Star
+
+POLYTOPE_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "polytopes")
 
 
 def test_face_counts(square, halfseg, tri_half, cube):
@@ -153,3 +158,77 @@ def test_translate_invariance(square, halfseg, tri_half):
         )
         for n in range(1, 9):
             assert pt.count_lattice_points(poly, n) == pt.count_lattice_points(moved, n)
+
+
+def _dot(a, x):
+    return sum((F(ai) * xi for ai, xi in zip(a, x)), F(0))
+
+
+def reference_faces(p):
+    """Faces by Fraction incidence, with one affine hull computed per face."""
+    facet_sets = [
+        frozenset(i for i, v in enumerate(p.vertices) if _dot(a, v) == b)
+        for a, b in p.inequalities
+    ]
+    known = {frozenset(range(len(p.vertices)))} | set(facet_sets)
+    frontier = list(known)
+    while frontier:
+        nxt = []
+        for face_set in frontier:
+            for facet in facet_sets:
+                meet = face_set & facet
+                if meet and meet not in known:
+                    known.add(meet)
+                    nxt.append(meet)
+        frontier = nxt
+    faces = []
+    for vset in known:
+        indices = tuple(sorted(vset))
+        eqs = pt.affine_hull([p.vertices[i] for i in indices])
+        faces.append(fc.Face(indices, p.ambient_dim - len(eqs), eqs))
+    return sorted(faces, key=lambda f: (f.dim, f.vertex_indices))
+
+
+def _check_faces_against_reference(p):
+    faces = fc.enumerate_faces(p)
+    expected = reference_faces(p)
+    assert [(f.vertex_indices, f.dim) for f in faces] == [
+        (f.vertex_indices, f.dim) for f in expected
+    ]
+    for face, ref in zip(faces, expected):
+        # The rows hold every vertex of the face, and they have the rank of
+        # its affine hull, so they cut out exactly its span.
+        for i in face.vertex_indices:
+            assert all(_dot(c, p.vertices[i]) == d for c, d in face.hull_equalities)
+        assert fc.affine_span_contains_lattice_point(face) == fc.affine_span_contains_lattice_point(ref)
+
+
+_rational = st.builds(F, st.integers(-3, 3), st.integers(1, 3))
+
+
+@st.composite
+def clouds(draw):
+    """3-9 points in 1-4 D, in an affine subspace of random dimension 0..m."""
+    m = draw(st.integers(1, 4))
+    rank = draw(st.integers(0, m))
+    base = draw(st.lists(_rational, min_size=m, max_size=m))
+    dirs = draw(st.lists(st.lists(_rational, min_size=m, max_size=m), min_size=rank, max_size=rank))
+    points = []
+    for _ in range(draw(st.integers(3, 9))):
+        coef = draw(st.lists(_rational, min_size=rank, max_size=rank))
+        points.append(tuple(base[j] + sum((c * d[j] for c, d in zip(coef, dirs)), F(0)) for j in range(m)))
+    return points
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(clouds())
+def test_faces_match_reference_on_clouds(points):
+    poly = pt.from_point_cloud(points)
+    assume(len(poly.inequalities) <= fc.MAX_FACETS)
+    _check_faces_against_reference(poly)
+
+
+@pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(POLYTOPE_DIR, "*.poly"))),
+                         ids=os.path.basename)
+def test_faces_match_reference_on_corpus(path):
+    _check_faces_against_reference(pt.load_polytope(path))
