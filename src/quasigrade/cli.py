@@ -3,13 +3,15 @@
 Exit codes: 0 on success (all checks hold), 1 when a verifier reports a
 violated inequality, an internal fit validation fails or an internal
 assertion trips (all signal a defect in this package, never bad input), 2 on
-malformed or infeasible input.
+malformed or infeasible input.  When the reader of stdout goes away (as in
+``... | head -1``), the command stops quietly and exits 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -221,7 +223,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Point stdout at the null device, so that the flush at exit cannot
+        # raise again on the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_OK
     except InconsistentFitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -44,7 +44,7 @@ def lcm_denominators(values: Iterable[Fraction]) -> int:
     """Least common multiple of the stored denominators; 1 for an empty input."""
     out = 1
     for v in values:
-        out = math.lcm(out, Fraction(v).denominator)
+        out = math.lcm(out, v.denominator)
     return out
 
 
@@ -202,20 +202,23 @@ def rat_solve(
     return x
 
 
-def _fraction_free_echelon(
+def int_rref(
     rows: Sequence[Sequence[int]],
-) -> tuple[list[list[int]], list[int], int]:
-    """Row echelon form by fraction-free (Bareiss) elimination.
+) -> tuple[list[list[int]], list[int], list[int]]:
+    """Reduced row echelon form of an integer matrix, scaled to stay integral.
 
-    Returns (rows, pivot columns, sign of the row permutation).  After the
-    t-th pivot every entry below it is a (t+1)-minor of the input, so each
-    division by the previous pivot is exact and the entries never leave the
-    integers; the last pivot of a nonsingular square matrix is its
-    determinant up to that sign.
+    Fraction-free Gauss-Jordan elimination: each Bareiss step is applied to
+    every row but the pivot row, above it as well as below, so every entry
+    stays a minor of the input and each division is exact.  Returns (rows,
+    pivot columns, pivot sources).  The first r = len(pivots) rows are D
+    times the reduced echelon form, where D, the last pivot, is nonzero and
+    sits at every pivot position; the other rows are zero.  ``sources[t]``
+    is the index of the input row that became pivot row t; those input rows
+    are linearly independent.
     """
     mat = [list(row) for row in rows]
+    order = list(range(len(mat)))
     pivots: list[int] = []
-    sign = 1
     prev = 1
     r = 0
     for c in range(len(mat[0]) if mat else 0):
@@ -224,59 +227,64 @@ def _fraction_free_echelon(
         pivot_row = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pivot_row is None:
             continue
-        if pivot_row != r:
-            mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
-            sign = -sign
+        mat[r], mat[pivot_row] = mat[pivot_row], mat[r]
+        order[r], order[pivot_row] = order[pivot_row], order[r]
         top = mat[r]
-        for i in range(r + 1, len(mat)):
-            row = mat[i]
+        pivot = top[c]
+        for i, row in enumerate(mat):
             lead = row[c]
-            for j in range(c + 1, len(row)):
-                row[j] = (row[j] * top[c] - lead * top[j]) // prev
-            row[c] = 0
-        prev = top[c]
+            if i == r:
+                continue
+            if lead:
+                mat[i] = [(pivot * x - lead * y) // prev for x, y in zip(row, top)]
+            elif pivot != prev:
+                mat[i] = [pivot * x // prev for x in row]
+        prev = pivot
         pivots.append(c)
         r += 1
-    return mat, pivots, sign
+    return mat, pivots, order[:r]
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free Bareiss)."""
+    """Exact determinant of a square integer matrix (fraction-free elimination).
+
+    The last pivot of ``int_rref`` is the determinant of the rows taken in
+    the order of the pivot sources, so the sign of that permutation fixes it.
+    """
     n = len(rows)
     if any(len(row) != n for row in rows):
         raise ValueError("determinant of a non-square matrix")
     if n == 0:
         return 1
-    mat, pivots, sign = _fraction_free_echelon(rows)
-    return sign * mat[n - 1][n - 1] if len(pivots) == n else 0
+    mat, pivots, sources = int_rref(rows)
+    if len(pivots) < n:
+        return 0
+    inversions = sum(a > b for i, a in enumerate(sources) for b in sources[i + 1 :])
+    return (-1) ** inversions * mat[n - 1][n - 1]
 
 
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
-    return len(_fraction_free_echelon(rows)[1])
+    return len(int_rref(rows)[1])
 
 
 def int_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int] | None:
     """The solution of a square integer system as (numerators, denominator > 0).
 
-    Returns None when the matrix is singular.  Fraction-free elimination of
-    the augmented matrix gives a triangular system whose last pivot is
-    D = ±det; D·x is an integer vector (Cramer's rule), so back-substitution
-    for D·x divides exactly.
+    Returns None when the matrix is singular.  ``int_rref`` of the augmented
+    matrix (A | b) is D·(I | x) with D = ±det A, and D·x is an integer vector
+    (Cramer's rule).
     """
     n = len(rows)
     if len(rhs) != n or any(len(row) != n for row in rows):
         raise ValueError("int_solve needs a square system")
     if n == 0:
         return [], 1
-    mat, pivots, _ = _fraction_free_echelon([list(row) + [b] for row, b in zip(rows, rhs)])
+    mat, pivots, _ = int_rref([list(row) + [b] for row, b in zip(rows, rhs)])
     if pivots[:n] != list(range(n)):
         return None
     den = mat[n - 1][n - 1]
-    num = [0] * n
-    for i in reversed(range(n)):
-        row = mat[i]
-        num[i] = (den * row[n] - sum(row[j] * num[j] for j in range(i + 1, n))) // row[i]
+    num = [row[n] for row in mat[:n]]
     if den < 0:
         num, den = [-v for v in num], -den
     return num, den

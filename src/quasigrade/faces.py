@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from . import polytope as _polytope
 from . import quasipoly
-from .errors import PolytopeError
 from .exactmath import IntMatrix, int_rank, solve_integer
 from .polytope import Equality, RationalPolytope
 from .quasipoly import QuasiPolynomial
@@ -33,9 +32,6 @@ class Face:
     hull_equalities: tuple[Equality, ...]
 
 
-MAX_FACETS = 20
-
-
 def enumerate_faces(p: RationalPolytope) -> list[Face]:
     """All nonempty faces, including every vertex and the polytope itself.
 
@@ -47,8 +43,6 @@ def enumerate_faces(p: RationalPolytope) -> list[Face]:
     span; they are its hull equalities.  Results are sorted by (dim, vertex
     indices).
     """
-    if len(p.inequalities) > MAX_FACETS:
-        raise PolytopeError(f"face enumeration is capped at {MAX_FACETS} facets")
     everything = frozenset(range(len(p.vertices)))
     incidence = _polytope.incidence(p.vertices, p.inequalities)
     facet_sets = [s for s in incidence if s]

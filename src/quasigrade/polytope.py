@@ -4,16 +4,16 @@ Polytopes are stored with exact rational vertices together with an
 integer-cleared H-representation (facet inequalities a·x <= b plus affine-hull
 equalities c·x = d).  Construction runs on integers wherever it can:
 
-* From points, it computes the facet rows and the hull equalities of their
-  convex hull.  It then checks that every input point satisfies every row
-  and every equality (a failure is an internal error), and keeps as vertices
-  exactly the points at which the tight rows and the equalities have rank m.
-  The vertices are not derived a second time from the rows.
-* From inequalities, it enumerates the vertices of the set they describe,
-  rejects an empty or unbounded set, and then builds the polytope from those
-  vertices as above, except that the facet scan visits only subsets of the
-  vertices tight at one input row.  The stored rows are the facets of that
-  set in canonical form, not the input rows.
+* From points, one double-description run on integers computes the facet
+  rows and the hull equalities of their convex hull.  It then checks that
+  every input point satisfies every row and every equality (a failure is an
+  internal error), and keeps as vertices exactly the points at which the
+  tight rows and the equalities have rank m.  The vertices are not derived a
+  second time from the rows.
+* From inequalities, the same double-description routine enumerates the
+  vertices of the set they describe and rejects an empty or unbounded set;
+  the polytope is then built from those vertices as above.  The stored rows
+  are the facets of that set in canonical form, not the input rows.
 * A file with both blocks is accepted only when every vertex satisfies the
   inequality block and that block has exactly the same vertices.
 
@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from typing import Sequence
 
 from . import quasipoly
@@ -36,14 +35,13 @@ from ._kernels import count_box
 from .errors import InconsistentFitError, InputFormatError, PolytopeError
 from .exactmath import (
     format_rational,
-    int_det,
     int_rank,
-    int_solve,
+    int_rref,
     lcm_denominators,
     parse_rational,
     rat_det,
     rat_nullspace,
-    rat_rref,
+    rat_rref,  # not called here; perfbench/spans.py requires this import site
 )
 from .quasipoly import QuasiPolynomial
 
@@ -59,14 +57,7 @@ def _dot(a: Sequence, x: Sequence) -> Fraction:
 def _clear_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
     """Scale (coeffs | rhs) to coprime integers, keeping the row direction."""
     scale = lcm_denominators(list(coeffs) + [rhs])
-    ints = [int(c * scale) for c in coeffs]
-    r = int(rhs * scale)
-    content = 0
-    for v in ints + [r]:
-        content = math.gcd(content, abs(v))
-    if content > 1:
-        ints = [v // content for v in ints]
-        r //= content
+    *ints, r = _primitive([int(c * scale) for c in coeffs] + [int(rhs * scale)])
     return tuple(ints), r
 
 
@@ -100,7 +91,7 @@ def _int_dot(a: Sequence[int], x: Sequence[int]) -> int:
 def _scaled(p: Point) -> tuple[list[int], int]:
     """(s·p, s) with s the lcm of the denominators of p, so s·p is integral."""
     scale = lcm_denominators(p)
-    return [int(c * scale) for c in p], scale
+    return [c.numerator * (scale // c.denominator) for c in p], scale
 
 
 def incidence(points: Sequence[Point], rows: Sequence[Inequality]) -> list[frozenset[int]]:
@@ -116,16 +107,87 @@ def incidence(points: Sequence[Point], rows: Sequence[Inequality]) -> list[froze
     ]
 
 
-def _minor_normal(rows: Sequence[Sequence[int]]) -> list[int]:
-    """Signed maximal minors of a (k-1) x k integer matrix.
+def _primitive(values: Sequence[int]) -> list[int]:
+    """The integer vector divided by the gcd of its entries (not all zero)."""
+    content = math.gcd(*values)
+    return [v // content for v in values] if content > 1 else list(values)
 
-    The vector is orthogonal to every row.  It is zero exactly when the rows
-    are linearly dependent, and otherwise spans their orthogonal complement.
+
+def _kernel(reduced: list[list[int]], pivots: list[int], ncols: int) -> list[list[int]]:
+    """A basis of the nullspace of a matrix, from its ``int_rref``.
+
+    For each free column f: y_f = D, the last pivot, y_c = -(row of pivot c)_f
+    at each pivot column c, and 0 elsewhere.
     """
-    return [
-        (-1) ** j * int_det([row[:j] + row[j + 1 :] for row in rows])
-        for j in range(len(rows) + 1)
+    last = reduced[len(pivots) - 1][pivots[-1]]
+    basis = []
+    for f in range(ncols):
+        if f not in pivots:
+            y = [0] * ncols
+            y[f] = last
+            for row, c in zip(reduced, pivots):
+                y[c] = -row[f]
+            basis.append(y)
+    return basis
+
+
+def _inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """A positive integer multiple of the inverse of a nonsingular matrix.
+
+    ``int_rref`` of (M | I) is D·(I | M^-1), D the last pivot; the sign of D
+    is divided out.
+    """
+    n = len(matrix)
+    reduced, _, _ = int_rref([list(row) + [int(s == t) for s in range(n)] for t, row in enumerate(matrix)])
+    sign = 1 if reduced[n - 1][n - 1] > 0 else -1
+    return [[sign * v for v in row[n:]] for row in reduced]
+
+
+def _extreme_rays(rows: Sequence[Sequence[int]], basis: Sequence[int]) -> list[tuple[list[int], int]]:
+    """Extreme rays of the pointed cone {y : r·y >= 0 for every row r}.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996), on integers.  ``basis`` indexes d linearly independent
+    rows, d the length of a row.  Their cone has d rays, the columns of the
+    inverse of their matrix.  The other rows are inserted in index order.
+    Each ray is kept primitive together with its zero set, the bitmask of
+    the inserted rows it is tight at.  Inserting r keeps the rays with r·y >= 0 and adds, for each
+    adjacent pair of rays on opposite sides, the primitive combination on
+    r·y = 0.  Two rays are adjacent exactly when no third ray is tight at
+    every row at which both are tight (the combinatorial test), and only
+    if they share at least d - 2 such rows.  Returns (ray, zero set) pairs.
+    """
+    d = len(basis)
+    inverse = _inverse([rows[b] for b in basis])
+    everything = sum(1 << b for b in basis)
+    rays = [
+        (_primitive([row[j] for row in inverse]), everything & ~(1 << b))
+        for j, b in enumerate(basis)
     ]
+    skip = set(basis)
+    for i, row in enumerate(rows):
+        if i in skip:
+            continue
+        bit = 1 << i
+        kept, pos, neg = [], [], []
+        for ray, zeros in rays:
+            value = _int_dot(row, ray)
+            if value > 0:
+                kept.append((ray, zeros))
+                pos.append((value, ray, zeros))
+            elif value < 0:
+                neg.append((value, ray, zeros))
+            else:
+                kept.append((ray, zeros | bit))
+        masks = [zeros for _, zeros in rays]
+        for vp, p, zp in pos:
+            for vn, n, zn in neg:
+                common = zp & zn
+                if common.bit_count() < d - 2 or sum(z & common == common for z in masks) > 2:
+                    continue
+                kept.append((_primitive([vp * x - vn * y for x, y in zip(n, p)]), common | bit))
+        rays = kept
+    return rays
 
 
 def hrep_from_vrep(
@@ -133,15 +195,12 @@ def hrep_from_vrep(
 ) -> tuple[tuple[Inequality, ...], tuple[Equality, ...]]:
     """Facet inequalities and hull equalities of the convex hull of the input.
 
-    Each point is mapped once to integers: its pivot coordinates (those of
-    the reduced echelon form of the point differences) times their common
-    denominator.  On the affine hull, of dimension k, this map is an affine
-    isomorphism onto Q^k.  There a k-subset of the points spans a hyperplane
-    exactly when the signed (k-1)-minors of its differences are not all
-    zero, and those minors are its normal; the hyperplane is a facet when
-    every point lies on one closed side.  Subsets inside the points of a
-    facet already found are skipped, so each facet is found once, and its
-    row is the primitive normal inside the direction space of the hull.
+    With Q = s·p the points scaled to integers, one ``int_rref`` of the rows
+    (1, Q) gives the hull equalities (its nullspace), the pivot coordinates
+    q, and independent rows that start the double description of the cone
+    {y : (1, q)·y >= 0}.  Its rays (b, -a) are the facets a·q <= b.  Each
+    stored row is the primitive normal inside the direction space of the
+    hull, so a lower-dimensional hull maps its normals back to it.
     """
     if not vertices:
         raise ValueError("need at least one vertex")
@@ -151,52 +210,38 @@ def hrep_from_vrep(
         raise PolytopeError("degenerate input: ambient dimension 0")
     if any(len(p) != m for p in pts):
         raise ValueError("points of mixed dimension")
-    return _scan_facets(pts, [range(len(pts))])
-
-
-def _scan_facets(
-    pts: list[Point], groups: Sequence[Sequence[int]]
-) -> tuple[tuple[Inequality, ...], tuple[Equality, ...]]:
-    """The subset scan of ``hrep_from_vrep`` over the k-subsets of each group.
-
-    ``pts`` are sorted and distinct, and each group lists indices into them.
-    The rows are those of the full scan as long as the points of every facet
-    lie inside one of the groups.
-    """
-    m = len(pts[0])
-    eqs = affine_hull(pts)
-    k = m - len(eqs)
+    scale = lcm_denominators(c for p in pts for c in p)
+    homogeneous = [[1] + [c.numerator * (scale // c.denominator) for c in p] for p in pts]
+    reduced, pivots, basis = int_rref(homogeneous)
+    k = len(pivots) - 1
+    # (1, Q)·y = 0 means y_1..m · p = -y_0 / s at every point.
+    eqs = sorted(
+        _canonical_equality([scale * v for v in y[1:]], -y[0])
+        for y in _kernel(reduced, pivots, m + 1)
+    )
     if k == 0:
-        return (), eqs
-    rref, pivots = rat_rref([[p[j] - pts[0][j] for j in range(m)] for p in pts[1:]])
-    basis = rref[:k]
-    # dual = G^-1 · basis, G the Gram matrix of the basis, read off the
-    # reduced form of (G | basis).  Its rows lie in the direction space, and
-    # dual[l]·d is the l-th pivot coordinate of any direction d.
-    dual = [row[k:] for row in rat_rref([[_dot(b, c) for c in basis] + b for b in basis])[0]]
-    scale = lcm_denominators(p[j] for p in pts for j in pivots)
-    coords = [tuple(int(p[j] * scale) for j in pivots) for p in pts]
-    facet_masks: list[int] = []
-    rows: list[Inequality] = []
-    for subset in (s for group in groups for s in combinations(group, k)):
-        bits = sum(1 << i for i in subset)
-        if any(bits & ~mask == 0 for mask in facet_masks):
-            continue
-        q0 = coords[subset[0]]
-        normal = _minor_normal([[a - b for a, b in zip(coords[i], q0)] for i in subset[1:]])
-        if not any(normal):
-            continue
-        rhs = _int_dot(normal, q0)
-        values = [_int_dot(normal, q) for q in coords]
-        above = max(values) > rhs
-        if above and min(values) < rhs:
-            continue
-        if above:
-            normal = [-c for c in normal]
-        facet_masks.append(sum(1 << i for i, v in enumerate(values) if v == rhs))
-        ambient = [_dot(normal, column) for column in zip(*dual)]
-        rows.append(_clear_row(ambient, _dot(ambient, pts[subset[0]])))
-    return tuple(sorted(rows)), eqs
+        return (), tuple(eqs)
+    to_ambient = None
+    if k < m:
+        # The reduced rows B (1..k) span the direction space, with D at their
+        # own pivot coordinate and 0 at the others, so the row in that space
+        # that agrees with a normal n on it is D·B^T·(B·B^T)^-1·n.
+        span = [row[1:] for row in reduced[1 : k + 1]]
+        inverse = _inverse([[_int_dot(u, v) for v in span] for u in span])
+        sign = 1 if reduced[k][pivots[k]] > 0 else -1
+        to_ambient = [
+            [sign * sum(span[t][j] * inverse[t][l] for t in range(k)) for l in range(k)]
+            for j in range(m)
+        ]
+    cone = [[row[c] for c in pivots] for row in homogeneous]
+    rows = []
+    for ray, zeros in _extreme_rays(cone, basis):
+        normal = [-v for v in ray[1:]]
+        if to_ambient is not None:
+            normal = [_int_dot(t, normal) for t in to_ambient]
+        tight = homogeneous[(zeros & -zeros).bit_length() - 1]
+        rows.append(tuple(_primitive([scale * v for v in normal] + [_int_dot(normal, tight[1:])])))
+    return tuple(sorted((row[:m], row[m]) for row in rows)), tuple(eqs)
 
 
 def vrep_from_hrep(
@@ -206,50 +251,34 @@ def vrep_from_hrep(
 ) -> list[Point]:
     """Vertices of the bounded set {a·x <= b, c·x = d}.
 
-    First the equations l·x = 0, for l spanning the nullspace of all normals
-    (the lineality space), are added: the set stays nonempty exactly when it
-    was, and the normals get rank m, so a nonempty set has a vertex.  The
-    candidates solve square systems of the independent equalities, those
-    equations and the missing number of inequalities, by fraction-free
-    elimination; the feasible ones are the vertices.  With none the set is
-    empty.  A nonempty set is unbounded when it has a lineality space or a
-    ray, spanned by the minors of m-1 normals, along which it recedes.
+    Double description of the cone {x0 >= 0, b·x0 - a·x >= 0, d·x0 = c·x},
+    after its rows are made primitive (repeats collapse) and its lineality,
+    the nullspace of the rows, is pinned by l·x >= 0 and -l·x >= 0.  Rays
+    with x0 > 0 are the vertices; with none the set is empty.  A nonempty
+    set is unbounded when it has lineality or a ray with x0 = 0.
     """
     m = ambient_dim
     if m < 1:
         raise PolytopeError("degenerate input: ambient dimension 0")
-    ineqs = [(tuple(int(c) for c in a), int(b)) for a, b in inequalities]
-    eqs = [(tuple(int(c) for c in a), int(b)) for a, b in equalities]
-    normals = [a for a, _ in ineqs] + [c for c, _ in eqs]
-    lineality = rat_nullspace(normals if normals else [[0] * m])
-    eq_rref, eq_pivots = rat_rref([list(c) + [d] for c, d in eqs])
-    if m in eq_pivots:
+    rows = [(1,) + (0,) * m]
+    rows += [(int(b),) + tuple(-int(c) for c in a) for a, b in inequalities]
+    for c, d in equalities:
+        rows += [(int(d),) + tuple(-int(v) for v in c), (-int(d),) + tuple(int(v) for v in c)]
+    rows = sorted({tuple(_primitive(row)) for row in rows if any(row)})
+    reduced, pivots, basis = int_rref(rows)
+    pins = [tuple(_primitive(y)) for y in _kernel(reduced, pivots, m + 1)]
+    if pins:
+        starts = [rows[i] for i in basis] + pins
+        rows = sorted(set(rows) | set(pins) | {tuple(-v for v in pin) for pin in pins})
+        index = {row: i for i, row in enumerate(rows)}
+        basis = [index[row] for row in starts]
+    rays = [ray for ray, _ in _extreme_rays(rows, basis)]
+    verts = sorted(tuple(Fraction(v, ray[0]) for v in ray[1:]) for ray in rays if ray[0] > 0)
+    if not verts:
         raise PolytopeError("empty")
-    pinned = [_clear_row(row[:m], row[m]) for row in eq_rref[: len(eq_pivots)]]
-    pinned += [_clear_row(v, Fraction(0)) for v in lineality]
-    seen: set[Point] = set()
-    for subset in combinations(ineqs, m - len(pinned)):
-        system = pinned + list(subset)
-        solved = int_solve([a for a, _ in system], [b for _, b in system])
-        if solved is None:
-            continue
-        num, den = solved
-        if all(_int_dot(a, num) <= b * den for a, b in ineqs):
-            seen.add(tuple(Fraction(v, den) for v in num))
-    if not seen:
-        raise PolytopeError("empty")
-    if lineality:
+    if pins or len(verts) < len(rays):
         raise PolytopeError("unbounded")
-    for subset in combinations(normals, m - 1):
-        ray = _minor_normal(subset)
-        if not any(ray):
-            continue
-        for direction in (ray, [-x for x in ray]):
-            if all(_int_dot(a, direction) <= 0 for a, _ in ineqs) and all(
-                _int_dot(c, direction) == 0 for c, _ in eqs
-            ):
-                raise PolytopeError("unbounded")
-    return sorted(seen)
+    return verts
 
 
 @dataclass(frozen=True)
@@ -328,13 +357,10 @@ def from_inequalities(
 ) -> RationalPolytope:
     """Polytope from inequalities alone; must describe a bounded nonempty set.
 
-    Every facet of the set is the set of its points on some input row, so
-    the facet scan visits only the subsets of the vertices tight at one
-    input row.  A row tight at every vertex holds no facet and is left out.
+    Its vertices go through the same hull computation as a point cloud, so
+    the stored rows are the facets in canonical form, not the input rows.
     """
-    verts = vrep_from_hrep(inequalities, (), ambient_dim)
-    tight = {s for s in incidence(verts, inequalities) if len(s) < len(verts)}
-    return _assemble(verts, *_scan_facets(verts, sorted(map(sorted, tight))), strict=False)
+    return _from_points(vrep_from_hrep(inequalities, (), ambient_dim), strict=False)
 
 
 def count_lattice_points(p: RationalPolytope, n: int) -> int:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -28,3 +29,10 @@ def tri_half():
 @pytest.fixture(scope="session")
 def tri_int():
     return pt.from_vertices([(0, 0), (1, 0), (0, 1)])
+
+
+@pytest.fixture(scope="session")
+def cloud40():
+    """40 seeded integer points in [-10, 10]^3; their hull has 21 vertices and 37 facets."""
+    rng = random.Random(26)
+    return [tuple(rng.randint(-10, 10) for _ in range(3)) for _ in range(40)]

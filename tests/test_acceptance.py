@@ -163,3 +163,14 @@ def test_criterion_8_span_oracle(capsys):
             assert not _box_lattice_point_in_span(eqs, m)
     with capsys.disabled():
         _report(8, "span lattice test vs exhaustive box search (200 instances)", time.perf_counter() - start, 30.0)
+
+
+def test_criterion_9_construction_scaling(capsys, cloud40):
+    start = time.perf_counter()
+    cyclic = [tuple(t**j for j in range(1, 5)) for t in range(1, 13)]
+    for points, m, facets in ((cloud40, 3, 37), (cyclic, 4, 54)):
+        poly = pt.from_point_cloud(points)
+        assert len(poly.inequalities) == facets
+        assert pt.from_inequalities(poly.inequalities, m) == poly
+    with capsys.disabled():
+        _report(9, "40-point 3-D hull and the 54 facet rows of cyclic(12, 4)", time.perf_counter() - start, 2.0)

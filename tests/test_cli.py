@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import quasigrade
 from quasigrade import cli, polytope
 
 SQUARE = """ambient 2
@@ -222,3 +227,29 @@ def test_internal_assertion_exits_1(capsys, monkeypatch, square_file):
     assert code == 1
     assert captured.err == "error: internal: point violates its own hull\n"
     assert captured.out == ""
+
+
+def _start(*argv):
+    src = os.path.dirname(os.path.dirname(quasigrade.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.Popen([sys.executable, "-m", "quasigrade", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def test_closed_stdout_exits_0_quietly():
+    # The reader goes away before the first write, as `| head -1` does
+    # after one line of this 27 kB report.
+    proc = _start("verify-weighted", "--weights", "5,6,7,8", "--shifts", "0,3")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+
+
+def test_unreadable_input_exits_2_in_a_process(tmp_path):
+    proc = _start("ehrhart", str(tmp_path / "nope.poly"))
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert out == b""
+    assert err.startswith(b"error: [Errno 2]")

@@ -1,11 +1,19 @@
-"""Polytope construction against a Fraction reference.
+"""Polytope construction against two references.
 
-The reference is the earlier construction: a hull scan that takes a
+The Fraction reference is the earliest construction: a hull scan that takes a
 nullspace for every subset of points in Fraction arithmetic, and a vertex
 enumeration that decides emptiness by Fourier-Motzkin elimination.  It is
 slow (Fourier-Motzkin can grow doubly exponentially, and equality rows make
-it grow fastest), so the inputs here stay small, and the examples come from a
-fixed seed so that the run time of the suite does not depend on the draw.
+it grow fastest), so its inputs stay small.
+
+The subset reference is the integer construction that double description
+replaced: a scan of every k-subset of the points with minor-vector normals,
+and a vertex enumeration that solves every square subsystem of the rows.  It
+costs C(points, k) and C(rows, m) small eliminations, which is polynomial for
+a fixed dimension, so it checks larger and more degenerate inputs.
+
+The examples come from a fixed seed so that the run time of the suite does
+not depend on the draw.
 """
 
 from fractions import Fraction as F
@@ -16,7 +24,15 @@ from hypothesis import given, settings, strategies as st
 
 from quasigrade import polytope as pt
 from quasigrade.errors import PolytopeError
-from quasigrade.exactmath import rat_nullspace, rat_rank, rat_rref, rat_solve
+from quasigrade.exactmath import (
+    int_det,
+    int_solve,
+    lcm_denominators,
+    rat_nullspace,
+    rat_rank,
+    rat_rref,
+    rat_solve,
+)
 
 
 def _dot(a, x):
@@ -136,6 +152,105 @@ def reference_assemble(points, strict):
     return tuple(verts), ineqs, eqs
 
 
+def _minor_normal(rows):
+    """Signed maximal minors of a (k-1) x k integer matrix: zero exactly when the rows are dependent."""
+    return [
+        (-1) ** j * int_det([row[:j] + row[j + 1 :] for row in rows])
+        for j in range(len(rows) + 1)
+    ]
+
+
+def subset_hrep(vertices):
+    """Facets from the k-subsets of the points, on integer pivot coordinates.
+
+    A subset's normal is its minor vector; it spans a facet when every point
+    lies on one closed side.  Subsets inside a facet already found are
+    skipped.  The ambient row comes from a dual basis of the direction space.
+    """
+    pts = sorted({tuple(F(c) for c in p) for p in vertices})
+    m = len(pts[0])
+    eqs = pt.affine_hull(pts)
+    k = m - len(eqs)
+    if k == 0:
+        return (), eqs
+    rref, pivots = rat_rref([[p[j] - pts[0][j] for j in range(m)] for p in pts[1:]])
+    basis = rref[:k]
+    # dual[l] lies in the direction space, and dual[l]·d is the l-th pivot
+    # coordinate of any direction d.
+    dual = [row[k:] for row in rat_rref([[_dot(b, c) for c in basis] + b for b in basis])[0]]
+    scale = lcm_denominators(p[j] for p in pts for j in pivots)
+    coords = [tuple(int(p[j] * scale) for j in pivots) for p in pts]
+    facet_masks = []
+    rows = []
+    for subset in combinations(range(len(pts)), k):
+        bits = sum(1 << i for i in subset)
+        if any(bits & ~mask == 0 for mask in facet_masks):
+            continue
+        q0 = coords[subset[0]]
+        normal = _minor_normal([[a - b for a, b in zip(coords[i], q0)] for i in subset[1:]])
+        if not any(normal):
+            continue
+        rhs = pt._int_dot(normal, q0)
+        values = [pt._int_dot(normal, q) for q in coords]
+        above = max(values) > rhs
+        if above and min(values) < rhs:
+            continue
+        if above:
+            normal = [-c for c in normal]
+        facet_masks.append(sum(1 << i for i, v in enumerate(values) if v == rhs))
+        ambient = [_dot(normal, column) for column in zip(*dual)]
+        rows.append(pt._clear_row(ambient, _dot(ambient, pts[subset[0]])))
+    return tuple(sorted(rows)), eqs
+
+
+def square_system_vrep(inequalities, equalities, m):
+    """Vertices from every square subsystem, after pinning the lineality space.
+
+    The feasible solutions are the vertices; with none the set is empty.  A
+    nonempty set is unbounded when it has lineality or a recession ray among
+    the minor vectors of m-1 normals.
+    """
+    ineqs = [(tuple(a), b) for a, b in inequalities]
+    eqs = [(tuple(c), d) for c, d in equalities]
+    normals = [a for a, _ in ineqs] + [c for c, _ in eqs]
+    lineality = rat_nullspace(normals if normals else [[0] * m])
+    eq_rref, eq_pivots = rat_rref([list(c) + [d] for c, d in eqs])
+    if m in eq_pivots:
+        raise PolytopeError("empty")
+    pinned = [pt._clear_row(row[:m], row[m]) for row in eq_rref[: len(eq_pivots)]]
+    pinned += [pt._clear_row(v, F(0)) for v in lineality]
+    seen = set()
+    for subset in combinations(ineqs, m - len(pinned)):
+        system = pinned + list(subset)
+        solved = int_solve([a for a, _ in system], [b for _, b in system])
+        if solved is None:
+            continue
+        num, den = solved
+        if all(pt._int_dot(a, num) <= b * den for a, b in ineqs):
+            seen.add(tuple(F(v, den) for v in num))
+    if not seen:
+        raise PolytopeError("empty")
+    if lineality:
+        raise PolytopeError("unbounded")
+    for subset in combinations(normals, m - 1):
+        ray = _minor_normal(subset)
+        if not any(ray):
+            continue
+        for direction in (ray, [-x for x in ray]):
+            if all(pt._int_dot(a, direction) <= 0 for a, _ in ineqs) and all(
+                pt._int_dot(c, direction) == 0 for c, _ in eqs
+            ):
+                raise PolytopeError("unbounded")
+    return sorted(seen)
+
+
+def subset_assemble(points):
+    """(vertices, inequalities, equalities) of the hull, by the subset reference."""
+    pts = sorted({tuple(F(c) for c in p) for p in points})
+    ineqs, eqs = subset_hrep(pts)
+    return tuple(square_system_vrep(ineqs, eqs, len(pts[0]))), ineqs, eqs
+
+
 def _outcome(fn, *args):
     """The result of fn, or the message of the PolytopeError it raised."""
     try:
@@ -203,6 +318,88 @@ def test_h_systems_match_reference(system):
         assert built == (reference_assemble(expected, False) if isinstance(expected, list) else expected)
 
 
+@st.composite
+def grid_clouds(draw):
+    """12-25 points of the grid {0..3}^3, most of them on the plane z = 0 or on one line."""
+    coord = st.integers(0, 3)
+    points = []
+    for _ in range(draw(st.integers(12, 25))):
+        x, y, z = draw(st.tuples(coord, coord, coord))
+        shape = draw(st.sampled_from(["plane", "plane", "line", "free"]))
+        points.append((x, y, 0) if shape == "plane" else (x, x, x) if shape == "line" else (x, y, z))
+    return points
+
+
+@st.composite
+def flat_clouds_4d(draw):
+    """6-12 points in 4-D spanning an affine subspace of dimension 1-3."""
+    rank = draw(st.integers(1, 3))
+    base = draw(st.lists(_rational, min_size=4, max_size=4))
+    dirs = draw(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=rank, max_size=rank))
+    points = []
+    for _ in range(draw(st.integers(6, 12))):
+        coef = draw(st.lists(_rational, min_size=rank, max_size=rank))
+        points.append(tuple(base[j] + sum((c * d[j] for c, d in zip(coef, dirs)), F(0)) for j in range(4)))
+    return points
+
+
+@st.composite
+def larger_h_systems(draw):
+    """8-20 rows in 2-4 D: mostly a box |x_i| <= B, then random, repeated, scaled and loose rows."""
+    m = draw(st.integers(2, 4))
+    normal = st.tuples(*[st.integers(-3, 3)] * m)
+    row = st.tuples(normal, st.integers(-4, 6))
+    bound = draw(st.integers(1, 3))
+    ineqs = []
+    if draw(st.integers(0, 4)):
+        for j in range(m):
+            unit = tuple(int(i == j) for i in range(m))
+            ineqs += [(unit, bound), (tuple(-u for u in unit), bound)]
+    for _ in range(draw(st.integers(8, 20)) - len(ineqs)):
+        kind = draw(st.sampled_from(["random", "repeated", "scaled", "loose"]))
+        if kind == "random" or not ineqs:
+            ineqs.append(draw(row))
+        elif kind == "repeated":
+            ineqs.append(draw(st.sampled_from(ineqs)))
+        elif kind == "scaled":
+            a, b = draw(st.sampled_from(ineqs))
+            k = draw(st.integers(2, 3))
+            ineqs.append((tuple(k * v for v in a), k * b))
+        else:
+            a = draw(normal)
+            ineqs.append((a, bound * sum(map(abs, a)) + draw(st.integers(0, 2))))
+    eqs = draw(st.lists(row, min_size=0, max_size=1))
+    return ineqs, eqs, m
+
+
+def _check_cloud_against_subset_reference(points):
+    assert pt.hrep_from_vrep(points) == subset_hrep(points)
+    assert _outcome(lambda: _fields(pt.from_point_cloud(points))) == _outcome(subset_assemble, points)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(grid_clouds())
+def test_degenerate_clouds_match_subset_reference(points):
+    _check_cloud_against_subset_reference(points)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(flat_clouds_4d())
+def test_flat_4d_clouds_match_subset_reference(points):
+    _check_cloud_against_subset_reference(points)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(larger_h_systems())
+def test_larger_h_systems_match_subset_reference(system):
+    ineqs, eqs, m = system
+    expected = _outcome(square_system_vrep, ineqs, eqs, m)
+    assert _outcome(pt.vrep_from_hrep, ineqs, eqs, m) == expected
+    if not eqs:
+        built = _outcome(lambda: _fields(pt.from_inequalities(ineqs, m)))
+        assert built == (subset_assemble(expected) if isinstance(expected, list) else expected)
+
+
 @pytest.mark.parametrize(
     "ineqs, eqs, m, message",
     [
@@ -214,7 +411,7 @@ def test_h_systems_match_reference(system):
     ],
 )
 def test_empty_and_unbounded_cases(ineqs, eqs, m, message):
-    for vrep in (pt.vrep_from_hrep, reference_vrep):
+    for vrep in (pt.vrep_from_hrep, reference_vrep, square_system_vrep):
         with pytest.raises(PolytopeError, match=message):
             vrep(ineqs, eqs, m)
 

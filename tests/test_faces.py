@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from quasigrade import faces as fc, polytope as pt, quasipoly as qp
 from quasigrade.exactmath import IntMatrix, solve_integer
@@ -223,12 +223,16 @@ def clouds(draw):
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(clouds())
 def test_faces_match_reference_on_clouds(points):
-    poly = pt.from_point_cloud(points)
-    assume(len(poly.inequalities) <= fc.MAX_FACETS)
-    _check_faces_against_reference(poly)
+    _check_faces_against_reference(pt.from_point_cloud(points))
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(POLYTOPE_DIR, "*.poly"))),
                          ids=os.path.basename)
 def test_faces_match_reference_on_corpus(path):
     _check_faces_against_reference(pt.load_polytope(path))
+
+
+def test_faces_match_reference_on_a_37_facet_hull(cloud40):
+    poly = pt.from_point_cloud(cloud40)
+    assert len(poly.inequalities) == 37
+    _check_faces_against_reference(poly)
