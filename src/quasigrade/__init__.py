@@ -12,13 +12,11 @@ The package computes, with exact rational arithmetic throughout:
 """
 
 from .exactmath import (
-    IntMatrix,
     Rational,
     format_rational,
     lcm_denominators,
     parse_rational,
     rat_rank,
-    smith_normal_form,
     solve_integer,
 )
 from .faces import (

@@ -1,4 +1,4 @@
-"""Exact scalar and linear algebra: rationals, integer matrices, Smith normal form.
+"""Exact scalar and linear algebra: rationals, integer elimination, integer solving.
 
 Every quantity in this package is an exact rational (``fractions.Fraction``,
 which stores a reduced numerator over a positive denominator) or an exact
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -78,60 +77,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-@dataclass(frozen=True)
-class IntMatrix:
-    """Dense integer matrix, row-major entries."""
-
-    rows: int
-    cols: int
-    entries: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.rows < 0 or self.cols < 0:
-            raise ValueError("matrix dimensions must be nonnegative")
-        if len(self.entries) != self.rows * self.cols:
-            raise ValueError("entry count does not match dimensions")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        if any(len(row) != c for row in rows):
-            raise ValueError("ragged rows")
-        return cls(r, c, tuple(int(x) for row in rows for x in row))
-
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls(n, n, tuple(1 if i == j else 0 for i in range(n) for j in range(n)))
-
-    def at(self, i: int, j: int) -> int:
-        return self.entries[i * self.cols + j]
-
-    def to_rows(self) -> list[list[int]]:
-        return [list(self.entries[i * self.cols : (i + 1) * self.cols]) for i in range(self.rows)]
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("dimension mismatch")
-        rows = []
-        orows = other.to_rows()
-        for i in range(self.rows):
-            acc = [0] * other.cols
-            for k in range(self.cols):
-                a = self.at(i, k)
-                if a:
-                    orow = orows[k]
-                    for j in range(other.cols):
-                        acc[j] += a * orow[j]
-            rows.append(acc)
-        return IntMatrix.from_rows(rows) if rows else IntMatrix(0, other.cols, ())
-
-    def mul_vector(self, vec: Sequence[int]) -> list[int]:
-        if len(vec) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [sum(self.at(i, j) * vec[j] for j in range(self.cols)) for i in range(self.rows)]
 
 
 def rat_rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fraction]], list[int]]:
@@ -245,49 +190,51 @@ def int_rref(
     return mat, pivots, order[:r]
 
 
-def int_det(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix (fraction-free elimination).
-
-    The last pivot of ``int_rref`` is the determinant of the rows taken in
-    the order of the pivot sources, so the sign of that permutation fixes it.
-    """
-    n = len(rows)
-    if any(len(row) != n for row in rows):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    mat, pivots, sources = int_rref(rows)
-    if len(pivots) < n:
-        return 0
-    inversions = sum(a > b for i, a in enumerate(sources) for b in sources[i + 1 :])
-    return (-1) ** inversions * mat[n - 1][n - 1]
-
-
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
     """Rank of an integer matrix, by fraction-free elimination."""
     return len(int_rref(rows)[1])
 
 
-def int_solve(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> tuple[list[int], int] | None:
-    """The solution of a square integer system as (numerators, denominator > 0).
+def solve_integer(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:
+    """Some integer solution x of A·x = b, or None when none exists.
 
-    Returns None when the matrix is singular.  ``int_rref`` of the augmented
-    matrix (A | b) is D·(I | x) with D = ±det A, and D·x is an integer vector
-    (Cramer's rule).
+    Row by row, Euclid-style unimodular column operations on the columns of
+    [A; I] leave one pivot among the columns that are still free, so A becomes
+    a lower echelon form H = A·U with U below it.  H·y = b is then solved by
+    forward substitution; it has no integer solution exactly when a pivot
+    does not divide its residual, or a row without a pivot keeps a nonzero
+    residual.  The solution is x = U·y.
     """
-    n = len(rows)
-    if len(rhs) != n or any(len(row) != n for row in rows):
-        raise ValueError("int_solve needs a square system")
-    if n == 0:
-        return [], 1
-    mat, pivots, _ = int_rref([list(row) + [b] for row, b in zip(rows, rhs)])
-    if pivots[:n] != list(range(n)):
-        return None
-    den = mat[n - 1][n - 1]
-    num = [row[n] for row in mat[:n]]
-    if den < 0:
-        num, den = [-v for v in num], -den
-    return num, den
+    if len(rhs) != len(rows):
+        raise ValueError("right-hand side length must equal the row count")
+    n = len(rows[0]) if rows else 0
+    free = [[row[j] for row in rows] + [int(t == j) for t in range(n)] for j in range(n)]
+    done: list[list[int]] = []
+    y: list[int] = []
+    for i, b in enumerate(rhs):
+        live = [col for col in free if col[i]]
+        while len(live) > 1:
+            pivot = min(live, key=lambda col: abs(col[i]))
+            for col in live:
+                if col is not pivot:
+                    q = col[i] // pivot[i]
+                    col[:] = [a - q * p for a, p in zip(col, pivot)]
+            live = [col for col in live if col[i]]
+        residual = b - sum(col[i] * v for col, v in zip(done, y))
+        if not live:
+            if residual:
+                return None
+            continue
+        q, r = divmod(residual, live[0][i])
+        if r:
+            return None
+        done.append(live[0])
+        y.append(q)
+        free = [col for col in free if col is not live[0]]
+    m = len(rows)
+    x = [sum(col[m + t] * v for col, v in zip(done, y)) for t in range(n)]
+    assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
+    return x
 
 
 def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
@@ -311,157 +258,3 @@ def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
                 f = m[i][k] * inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[k])]
     return det
-
-
-class _SnfWorkspace:
-    """Mutable state for the Smith normal form reduction.
-
-    Maintains D = L·A·R and A = S·D·T throughout; row operations on D update
-    (L, S), column operations update (R, T).
-    """
-
-    def __init__(self, a: IntMatrix) -> None:
-        self.m = a.rows
-        self.n = a.cols
-        self.d = a.to_rows()
-        self.l = IntMatrix.identity(self.m).to_rows()
-        self.s = IntMatrix.identity(self.m).to_rows()
-        self.r = IntMatrix.identity(self.n).to_rows()
-        self.t = IntMatrix.identity(self.n).to_rows()
-
-    # Row operations (D <- E·D): L <- E·L and S <- S·E^{-1}.
-    def row_swap(self, i: int, j: int) -> None:
-        for mat in (self.d, self.l):
-            mat[i], mat[j] = mat[j], mat[i]
-        for row in self.s:
-            row[i], row[j] = row[j], row[i]
-
-    def row_addmul(self, dst: int, src: int, k: int) -> None:
-        for mat in (self.d, self.l):
-            mat[dst] = [a + k * b for a, b in zip(mat[dst], mat[src])]
-        for row in self.s:
-            row[src] -= k * row[dst]
-
-    def row_negate(self, i: int) -> None:
-        for mat in (self.d, self.l):
-            mat[i] = [-x for x in mat[i]]
-        for row in self.s:
-            row[i] = -row[i]
-
-    # Column operations (D <- D·F): R <- R·F and T <- F^{-1}·T.
-    def col_swap(self, i: int, j: int) -> None:
-        for row in self.d:
-            row[i], row[j] = row[j], row[i]
-        for row in self.r:
-            row[i], row[j] = row[j], row[i]
-        self.t[i], self.t[j] = self.t[j], self.t[i]
-
-    def col_addmul(self, dst: int, src: int, k: int) -> None:
-        for row in self.d:
-            row[dst] += k * row[src]
-        for row in self.r:
-            row[dst] += k * row[src]
-        self.t[src] = [a - k * b for a, b in zip(self.t[src], self.t[dst])]
-
-    def _smallest_nonzero(self, start: int) -> tuple[int, int] | None:
-        best = None
-        best_abs = None
-        for i in range(start, self.m):
-            for j in range(start, self.n):
-                v = abs(self.d[i][j])
-                if v != 0 and (best_abs is None or v < best_abs):
-                    best, best_abs = (i, j), v
-        return best
-
-    def eliminate(self, start: int) -> None:
-        """Diagonalize D[start:, start:] with smallest-pivot gcd reduction."""
-        for t in range(start, min(self.m, self.n)):
-            while True:
-                pos = self._smallest_nonzero(t)
-                if pos is None:
-                    return
-                if pos[0] != t:
-                    self.row_swap(t, pos[0])
-                if pos[1] != t:
-                    self.col_swap(t, pos[1])
-                if self.d[t][t] < 0:
-                    self.row_negate(t)
-                pivot = self.d[t][t]
-                for i in range(t + 1, self.m):
-                    if self.d[i][t] != 0:
-                        self.row_addmul(i, t, -(self.d[i][t] // pivot))
-                for j in range(t + 1, self.n):
-                    if self.d[t][j] != 0:
-                        self.col_addmul(j, t, -(self.d[t][j] // pivot))
-                if all(self.d[i][t] == 0 for i in range(t + 1, self.m)) and all(
-                    self.d[t][j] == 0 for j in range(t + 1, self.n)
-                ):
-                    break
-
-    def enforce_divisibility(self) -> None:
-        """Repair the chain d_1 | d_2 | ... by merging adjacent violators."""
-        k = min(self.m, self.n)
-        while True:
-            violation = None
-            for i in range(k - 1):
-                a, b = self.d[i][i], self.d[i + 1][i + 1]
-                if a == 0 and b != 0:
-                    violation = i
-                    break
-                if a != 0 and b % a != 0:
-                    violation = i
-                    break
-            if violation is None:
-                return
-            self.col_addmul(violation, violation + 1, 1)
-            self.eliminate(violation)
-
-
-def _snf_workspace(a: IntMatrix) -> _SnfWorkspace:
-    ws = _SnfWorkspace(a)
-    ws.eliminate(0)
-    ws.enforce_divisibility()
-    return ws
-
-
-def smith_normal_form(a: IntMatrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Smith normal form: A = S·D·T with S, T unimodular.
-
-    D is diagonal with nonnegative entries satisfying d_1 | d_2 | ... and
-    trailing zeros.  Pivots are chosen by smallest absolute value, which keeps
-    coefficient growth harmless at the matrix sizes used here.
-    """
-    ws = _snf_workspace(a)
-    to_mat = lambda rows, n: IntMatrix.from_rows(rows) if rows else IntMatrix(0, n, ())
-    return to_mat(ws.s, ws.m), to_mat(ws.d, ws.n), to_mat(ws.t, ws.n)
-
-
-def solve_integer(a: IntMatrix, b: Sequence[int]) -> list[int] | None:
-    """Some integer solution x of A·x = b, or None when none exists.
-
-    Decided through the Smith normal form: with D = L·A·R the system becomes
-    D·y = L·b, which is solvable over the integers iff each diagonal entry
-    divides its right-hand side and zero rows have zero right-hand side.
-    """
-    if len(b) != a.rows:
-        raise ValueError("right-hand side length must equal the row count")
-    ws = _snf_workspace(a)
-    lb = [sum(ws.l[i][j] * b[j] for j in range(a.rows)) for i in range(a.rows)]
-    y = [0] * a.cols
-    k = min(a.rows, a.cols)
-    for i in range(k):
-        di = ws.d[i][i]
-        if di == 0:
-            if lb[i] != 0:
-                return None
-        else:
-            q, rem = divmod(lb[i], di)
-            if rem != 0:
-                return None
-            y[i] = q
-    for i in range(k, a.rows):
-        if lb[i] != 0:
-            return None
-    x = [sum(ws.r[i][j] * y[j] for j in range(a.cols)) for i in range(a.cols)]
-    assert a.mul_vector(x) == list(b)
-    return x

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import polytope as _polytope
 from . import quasipoly
-from .exactmath import IntMatrix, int_rank, solve_integer
+from .exactmath import int_rank, solve_integer
 from .polytope import Equality, RationalPolytope
 from .quasipoly import QuasiPolynomial
 
@@ -70,13 +70,14 @@ def affine_span_contains_lattice_point(face: Face) -> bool:
     """Whether the affine span of the face holds any point of Z^m.
 
     The span is the solution set of the integer hull equations, so this is an
-    integer linear system decided through Smith normal form divisibility.
+    integer linear system, decided by a column echelon form and forward
+    substitution (``solve_integer``).
     """
     if not face.hull_equalities:
         return True
-    rows = [list(c) for c, _ in face.hull_equalities]
+    rows = [c for c, _ in face.hull_equalities]
     rhs = [d for _, d in face.hull_equalities]
-    return solve_integer(IntMatrix.from_rows(rows), rhs) is not None
+    return solve_integer(rows, rhs) is not None
 
 
 def _delta_star(face_results: tuple[tuple[Face, bool], ...], dim: int) -> int | None:

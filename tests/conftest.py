@@ -2,8 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import settings
 
 from quasigrade import polytope as pt
+
+# Every property test checks the same examples on every run, at a fixed cost;
+# each test sets only its own max_examples.
+settings.register_profile("tier1", deadline=None, derandomize=True)
+settings.load_profile("tier1")
 
 
 @pytest.fixture(scope="session")

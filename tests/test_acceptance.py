@@ -11,7 +11,7 @@ from fractions import Fraction as F
 from itertools import combinations_with_replacement
 
 from quasigrade import cli, faces as fc, hilbert as hb, polytope as pt, quasipoly as qp
-from quasigrade.exactmath import IntMatrix, solve_integer
+from quasigrade.exactmath import solve_integer
 from quasigrade.rng import XorShift64Star
 
 import numpy as np
@@ -154,11 +154,11 @@ def test_criterion_8_span_oracle(capsys):
             rhs = sum((F(ci) * xi for ci, xi in zip(c, anchor)), F(0))
             scale = rhs.denominator
             eqs.append((tuple(ci * scale for ci in c), int(rhs * scale)))
-        rows = IntMatrix.from_rows([list(c) for c, _ in eqs])
+        rows = [list(c) for c, _ in eqs]
         rhs_vec = [d for _, d in eqs]
         x = solve_integer(rows, rhs_vec)
         if x is not None:
-            assert rows.mul_vector(x) == rhs_vec
+            assert [sum(a * v for a, v in zip(row, x)) for row in rows] == rhs_vec
         else:
             assert not _box_lattice_point_in_span(eqs, m)
     with capsys.disabled():

@@ -111,7 +111,7 @@ def _boxes(draw):
 
 
 @pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "object"])
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300)
 @given(box=_boxes())
 def test_slice_counter_matches_brute_force(python_ints, box):
     lo, hi, ineqs, eqs = box
