@@ -1,8 +1,9 @@
-"""Lattice-point counting over an integer box by closed-form slices.
+"""Lattice-point counting over integer boxes by closed-form slices.
 
-``count_box`` walks the box over its first m-1 axes (the prefixes) and counts
-the valid last coordinates of each prefix x' in closed form.  With
-s = b - a'·x' for each inequality row a·x <= b:
+``count_boxes`` counts a batch of boxes that share their row normals, such as
+the dilates n·P of one polytope.  Each box is walked over its first m-1 axes
+(the prefixes), and the valid last coordinates of each prefix x' are counted
+in closed form.  With s = b - a'·x' for each inequality row a·x <= b:
 
   a_m > 0   bounds x_m from above by floor(s / a_m)
   a_m < 0   bounds x_m from below by ceil(s / a_m)
@@ -12,16 +13,20 @@ An equality row c·x = d with c_m != 0 pins x_m = s / c_m when c_m divides s;
 with c_m = 0 it is the prefix test s = 0.  A prefix contributes
 max(0, high - low + 1) points when it passes every test.
 
-The prefixes are taken in flat chunks of at most ``_CHUNK_LIMIT``, so memory
-is bounded whatever the dimension.  The arrays are int64 when ``_fits_int64``
-proves that no intermediate can overflow and Python integers (dtype=object)
-otherwise; the same code runs on both, so the count is exact either way.
+The prefixes of consecutive boxes are packed into flat chunks of at most
+``_CHUNK_LIMIT``; a box larger than a chunk is split across chunks.  So a
+batch of small boxes costs one pass of numpy calls, and memory is bounded
+whatever the dimension.  The arrays are int64 when ``_fits_int64`` proves,
+for the coordinatewise largest box and right-hand sides of the batch, that no
+intermediate can overflow, and Python integers (dtype=object) otherwise; the
+same code runs on both, so every count is exact either way.  ``count_box`` is
+the one-box call.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +34,8 @@ _INT64_SAFE = 2**62
 _CHUNK_LIMIT = 1 << 14  # prefixes per chunk
 
 IntRows = Sequence[tuple[Sequence[int], int]]
+# (lo, hi, inequality right-hand sides, equality right-hand sides)
+Box = tuple[Sequence[int], Sequence[int], Sequence[int], Sequence[int]]
 
 
 def active_backend() -> str:
@@ -46,7 +53,9 @@ def _fits_int64(lo: Sequence[int], hi: Sequence[int], ineqs: IntRows, eqs: IntRo
     s // c_m with its remainder, and the clipped bounds low and high are then
     at most B in absolute value, so high - low + 1 is at most 2B + 1.  The
     sum over a chunk adds at most _CHUNK_LIMIT counts of at most 2·c_m + 1.
-    Both B and that sum must stay below 2^62.
+    Both B and that sum must stay below 2^62.  Both grow with every |lo_j|,
+    |hi_j| and |b|, so a batch passes when its coordinatewise largest box
+    does.
     """
     corner = [max(abs(l), abs(h)) for l, h in zip(lo, hi)]
     bound = max(corner)
@@ -55,55 +64,101 @@ def _fits_int64(lo: Sequence[int], hi: Sequence[int], ineqs: IntRows, eqs: IntRo
     return bound < _INT64_SAFE and _CHUNK_LIMIT * (2 * corner[-1] + 1) < _INT64_SAFE
 
 
-def _slack(rhs: np.ndarray, rows: np.ndarray, prefix: list[np.ndarray], size: int) -> np.ndarray:
-    """rhs - rows'·x' for every prefix x' of a chunk: one line per row, one column per prefix."""
-    s = np.repeat(rhs[:, None], size, axis=1)
-    for j, x in enumerate(prefix):
-        s -= np.multiply.outer(rows[:, j], x)
+def _chunks(sizes: Sequence[int]) -> Iterator[list[tuple[int, int, int]]]:
+    """Pieces (box, first prefix, end prefix) of consecutive boxes, _CHUNK_LIMIT prefixes per chunk."""
+    pieces: list[tuple[int, int, int]] = []
+    room = _CHUNK_LIMIT
+    for k, size in enumerate(sizes):
+        start = 0
+        while start < size:
+            end = min(size, start + room)
+            pieces.append((k, start, end))
+            room -= end - start
+            start = end
+            if not room:
+                yield pieces
+                pieces, room = [], _CHUNK_LIMIT
+    if pieces:
+        yield pieces
+
+
+def _slack(rhs: np.ndarray, rows: np.ndarray, prefix: np.ndarray, pieces: list[tuple[int, int, int]]) -> np.ndarray:
+    """rhs - rows'·x' for every prefix x' of a chunk: one line per row, one column per prefix.
+
+    ``rhs`` has one column per box; each piece's column is broadcast over its
+    prefixes in place.
+    """
+    s = rows[:, :-1] @ prefix
+    at = 0
+    for k, start, end in pieces:
+        piece = s[:, at : at + end - start]
+        np.subtract(rhs[:, k : k + 1], piece, out=piece)
+        at += end - start
     return s
 
 
-def count_box(lo: Sequence[int], hi: Sequence[int], ineqs: IntRows, eqs: IntRows) -> int:
-    """Count integer points x with lo <= x <= hi, a·x <= b and c·x = d rowwise."""
-    m = len(lo)
-    if any(l > h for l, h in zip(lo, hi)):
-        return 0
-    dtype = np.int64 if _fits_int64(lo, hi, ineqs, eqs) else object
-    # Inequality rows ordered upper bounds, lower bounds, prefix tests, so
-    # that each group is a slice of the slack lines.
-    groups = [[r for r in ineqs if r[0][-1] > 0], [r for r in ineqs if r[0][-1] < 0],
-              [r for r in ineqs if r[0][-1] == 0]]
-    n_up, n_bound = len(groups[0]), len(groups[0]) + len(groups[1])
-    rows = [r for group in groups for r in group]
-    a = np.array([row for row, _ in rows], dtype=dtype).reshape(len(rows), m)
-    b = np.array([rhs for _, rhs in rows], dtype=dtype)
-    step = np.abs(a[:n_bound, -1:])
-    pinned = sorted(eqs, key=lambda r: r[0][-1] == 0)
-    n_pin = sum(1 for row, _ in pinned if row[-1] != 0)
-    c = np.array([row for row, _ in pinned], dtype=dtype).reshape(len(pinned), m)
-    d = np.array([rhs for _, rhs in pinned], dtype=dtype)
+def count_boxes(
+    ineq_normals: Sequence[Sequence[int]], eq_normals: Sequence[Sequence[int]], boxes: Sequence[Box]
+) -> list[int]:
+    """For each box (lo, hi, b, d), the integer points x with lo <= x <= hi, a·x <= b and c·x = d.
 
-    widths = [h - l + 1 for l, h in zip(lo[:-1], hi[:-1])]
-    prefixes = math.prod(widths)
-    total = 0
-    for start in range(0, prefixes, _CHUNK_LIMIT):
-        index = np.arange(start, min(start + _CHUNK_LIMIT, prefixes))
-        coords = np.unravel_index(index, widths) if widths else ()
-        prefix = [x.astype(dtype) + l for x, l in zip(coords, lo)]
-        low = np.full(index.size, lo[-1], dtype=dtype)
-        high = np.full(index.size, hi[-1], dtype=dtype)
-        ok = np.ones(index.size, dtype=bool)
-        if rows:
-            s = _slack(b, a, prefix, index.size)
-            q = s[:n_bound] // step
+    Row i of the inequalities is ineq_normals[i]·x <= b[i], and row i of the
+    equalities eq_normals[i]·x = d[i]; the normals are shared by every box.
+    """
+    counts = [0] * len(boxes)
+    live = [k for k, (lo, hi, _, _) in enumerate(boxes) if all(l <= h for l, h in zip(lo, hi))]
+    if not live:
+        return counts
+    los, his, bs, ds = zip(*(boxes[k] for k in live))
+    m = len(los[0])
+    # The guard sees the coordinatewise largest |lo|, |hi| and right-hand side.
+    extent = [max(map(abs, column)) for column in zip(*los, *his)]
+    ineq_max = [(row, max(map(abs, column))) for row, column in zip(ineq_normals, zip(*bs))]
+    eq_max = [(row, max(map(abs, column))) for row, column in zip(eq_normals, zip(*ds))]
+    dtype = np.int64 if _fits_int64(extent, extent, ineq_max, eq_max) else object
+    # Inequality rows ordered upper bounds, lower bounds, prefix tests, so
+    # that each group is a slice of the slack lines; the right-hand sides
+    # are one column per box.
+    up = [i for i, row in enumerate(ineq_normals) if row[-1] > 0]
+    down = [i for i, row in enumerate(ineq_normals) if row[-1] < 0]
+    order = up + down + [i for i, row in enumerate(ineq_normals) if row[-1] == 0]
+    n_up, n_bound = len(up), len(up) + len(down)
+    a = np.array([ineq_normals[i] for i in order], dtype=dtype).reshape(len(order), m)
+    b = np.array([[rhs[i] for i in order] for rhs in bs], dtype=dtype).reshape(len(live), len(order)).T
+    step = np.abs(a[:n_bound, -1:])
+    pinned = sorted(range(len(eq_normals)), key=lambda i: eq_normals[i][-1] == 0)
+    n_pin = sum(1 for row in eq_normals if row[-1] != 0)
+    c = np.array([eq_normals[i] for i in pinned], dtype=dtype).reshape(len(pinned), m)
+    d = np.array([[rhs[i] for i in pinned] for rhs in ds], dtype=dtype).reshape(len(live), len(pinned)).T
+
+    widths = [[h - l + 1 for l, h in zip(lo[:-1], hi[:-1])] for lo, hi in zip(los, his)]
+    lows = np.array(los, dtype=dtype).reshape(len(live), m).T
+    last_hi = np.array([hi[-1] for hi in his], dtype=dtype)
+    for pieces in _chunks([math.prod(w) for w in widths]):
+        ks = [k for k, _, _ in pieces]
+        lengths = [end - start for _, start, end in pieces]
+        # Each prefix starts at its box's lower corner and is moved to its
+        # place in the box in place, one piece at a time.
+        prefix = np.repeat(lows[:-1, ks], lengths, axis=1)
+        at = 0
+        for k, start, end in pieces:
+            if m > 1:
+                prefix[:, at : at + end - start] += np.unravel_index(np.arange(start, end), widths[k])
+            at += end - start
+        low = np.repeat(lows[-1, ks], lengths)
+        high = np.repeat(last_hi[ks], lengths)
+        ok = np.ones(at, dtype=bool)
+        if order:
+            s = _slack(b, a, prefix, pieces)
+            q = np.floor_divide(s[:n_bound], step, out=s[:n_bound])
             if n_up:
                 high = np.minimum(high, q[:n_up].min(axis=0))
             if n_bound > n_up:  # ceil(s / a_m) = -(s // |a_m|) when a_m < 0
                 low = np.maximum(low, -q[n_up:].min(axis=0))
-            if len(rows) > n_bound:
+            if len(order) > n_bound:
                 ok &= (s[n_bound:] >= 0).all(axis=0)
         if pinned:
-            t = _slack(d, c, prefix, index.size)
+            t = _slack(d, c, prefix, pieces)
             if n_pin:
                 ok &= (t[:n_pin] % c[:n_pin, -1:] == 0).all(axis=0)
                 x = t[:n_pin] // c[:n_pin, -1:]
@@ -111,5 +166,18 @@ def count_box(lo: Sequence[int], hi: Sequence[int], ineqs: IntRows, eqs: IntRows
                 high = np.minimum(high, x.min(axis=0))
             if len(pinned) > n_pin:
                 ok &= (t[n_pin:] == 0).all(axis=0)
-        total += int(np.maximum(high - low + 1, 0)[ok].sum())
-    return total
+        fibre = np.maximum(high - low + 1, 0)
+        fibre[~ok] = 0
+        starts = np.cumsum([0] + lengths[:-1])
+        for k, total in zip(ks, np.add.reduceat(fibre, starts).tolist()):
+            counts[live[k]] += total
+    return counts
+
+
+def count_box(lo: Sequence[int], hi: Sequence[int], ineqs: IntRows, eqs: IntRows) -> int:
+    """Count integer points x with lo <= x <= hi, a·x <= b and c·x = d rowwise.
+
+    This is ``count_boxes`` on one box.
+    """
+    box = (lo, hi, [rhs for _, rhs in ineqs], [rhs for _, rhs in eqs])
+    return count_boxes([row for row, _ in ineqs], [row for row, _ in eqs], [box])[0]

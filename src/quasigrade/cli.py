@@ -3,8 +3,9 @@
 Exit codes: 0 on success (all checks hold), 1 when a verifier reports a
 violated inequality, an internal fit validation fails or an internal
 assertion trips (all signal a defect in this package, never bad input), 2 on
-malformed or infeasible input.  When the reader of stdout goes away (as in
-``... | head -1``), the command stops quietly and exits 0.
+malformed or infeasible input and on input too large for the memory at hand.
+When the reader of stdout goes away (as in ``... | head -1``), the command
+stops quietly and exits 0.
 """
 
 from __future__ import annotations
@@ -51,9 +52,11 @@ def _cmd_ehrhart(args: argparse.Namespace) -> int:
     q = polytope.ehrhart_quasipolynomial(poly, counts)
     print(quasipoly.format_quasipolynomial(q))
     if args.max_dilate is not None:
-        for n in range(1, args.max_dilate + 1):
-            value = counts[n] if n in counts else polytope.count_lattice_points(poly, n)
-            print(f"count n={n} value={value}")
+        ns = range(1, args.max_dilate + 1)
+        missing = [n for n in ns if n not in counts]
+        counts.update(zip(missing, polytope.dilate_counts(poly, missing)))
+        for n in ns:
+            print(f"count n={n} value={counts[n]}")
     return EXIT_OK
 
 
@@ -242,6 +245,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except AssertionError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

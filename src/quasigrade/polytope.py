@@ -17,9 +17,11 @@ equalities c·x = d).  Construction runs on integers wherever it can:
 * A file with both blocks is accepted only when every vertex satisfies the
   inequality block and that block has exactly the same vertices.
 
-Lattice points of the n-th dilate are counted exactly, slice by slice over the
-bounding box, and those counts are the samples and the held-out checks of the
-fitted Ehrhart quasipolynomial.
+Lattice points of the n-th dilate are counted exactly, slice by slice over its
+bounding box.  The boxes of all dilates come from the integer numerators of
+the polytope's box over one denominator, and ``dilate_counts`` counts any set
+of dilates in one batched kernel call; those counts are the samples and the
+held-out checks of the fitted Ehrhart quasipolynomial.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from functools import cached_property
 from typing import Sequence
 
 from . import quasipoly
-from ._kernels import count_box
+from ._kernels import count_box, count_boxes
 from .errors import InconsistentFitError, InputFormatError, PolytopeError
 from .exactmath import (
     format_rational,
@@ -303,6 +305,12 @@ class RationalPolytope:
         columns = list(zip(*self.vertices))
         return tuple(map(min, columns)), tuple(map(max, columns))
 
+    @cached_property
+    def integer_box(self) -> tuple[list[int], list[int], int]:
+        """``box`` as integer numerators (lo, hi) over one denominator s."""
+        scaled, s = _scaled(self.box[0] + self.box[1])
+        return scaled[: self.ambient_dim], scaled[self.ambient_dim :], s
+
 
 def _assemble(
     pts: list[Point], ineqs: tuple[Inequality, ...], eqs: tuple[Equality, ...], strict: bool
@@ -363,6 +371,14 @@ def from_inequalities(
     return _from_points(vrep_from_hrep(inequalities, (), ambient_dim), strict=False)
 
 
+def _dilate_box(p: RationalPolytope, n: int) -> tuple[list[int], list[int]]:
+    """The integer box ceil(n·l) <= x <= floor(n·h) of n·P, by integer floor division."""
+    if n < 0:
+        raise ValueError("dilation factor must be nonnegative")
+    lo, hi, s = p.integer_box
+    return [-(-n * c // s) for c in lo], [n * c // s for c in hi]
+
+
 def count_lattice_points(p: RationalPolytope, n: int) -> int:
     """Exact number of integer points in the n-th dilate n·P.
 
@@ -370,13 +386,23 @@ def count_lattice_points(p: RationalPolytope, n: int) -> int:
     every inequality and c·x = n·d for every equality.  The 0-th dilate is the
     single point at the origin, so the count for n = 0 is always 1.
     """
-    if n < 0:
-        raise ValueError("dilation factor must be nonnegative")
-    lo = [math.ceil(n * c) for c in p.box[0]]
-    hi = [math.floor(n * c) for c in p.box[1]]
+    lo, hi = _dilate_box(p, n)
     ineqs = [(a, n * b) for a, b in p.inequalities]
     eqs = [(c, n * d) for c, d in p.equalities]
     return count_box(lo, hi, ineqs, eqs)
+
+
+def dilate_counts(p: RationalPolytope, ns: Sequence[int]) -> list[int]:
+    """``count_lattice_points(p, n)`` for each n of ``ns``, by one batched count.
+
+    The dilates share the facet and equality normals; only their boxes and
+    right-hand sides n·b and n·d differ.
+    """
+    boxes = [
+        (*_dilate_box(p, n), [n * b for _, b in p.inequalities], [n * d for _, d in p.equalities])
+        for n in ns
+    ]
+    return count_boxes([a for a, _ in p.inequalities], [c for c, _ in p.equalities], boxes)
 
 
 def vertex_denominator_lcm(p: RationalPolytope) -> int:
@@ -391,14 +417,15 @@ def ehrhart_quasipolynomial(
 
     Samples run over n = 1, ..., D·(dim+1) with declared period
     D = lcm of vertex denominators; the result is canonicalized and then
-    validated against D further counts.  When ``counts`` is given, every
+    validated against D further counts.  The samples and the held-out counts
+    are made by one ``dilate_counts`` call.  When ``counts`` is given, every
     count made here is stored in it under its n.
     """
     d = vertex_denominator_lcm(p)
     limit = d * (p.dim + 1)
     counts = {} if counts is None else counts
-    for n in range(1, limit + d + 1):
-        counts[n] = count_lattice_points(p, n)
+    ns = range(1, limit + d + 1)
+    counts.update(zip(ns, dilate_counts(p, ns)))
     q = quasipoly.fit_from_samples({n: counts[n] for n in range(1, limit + 1)}, d, p.dim)
     for n in range(limit + 1, limit + d + 1):
         if quasipoly.evaluate(q, n) != counts[n]:

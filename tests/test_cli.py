@@ -1,3 +1,4 @@
+import importlib.util
 import os
 import subprocess
 import sys
@@ -5,7 +6,9 @@ import sys
 import pytest
 
 import quasigrade
-from quasigrade import cli, polytope
+from quasigrade import _kernels, cli, hilbert, polytope
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 SQUARE = """ambient 2
 vertices 4
@@ -66,20 +69,21 @@ def test_ehrhart_max_dilate(capsys, square_file):
 
 
 def test_max_dilate_counts_each_dilate_once(capsys, monkeypatch, square_file):
-    # The fit and the held-out check count n = 1..4 for the square; the
-    # printed counts reuse them and count only n = 5, 6.
+    # The fit and the held-out check count n = 1..4 for the square in one
+    # batch; the printed counts reuse them and count only n = 5, 6, in a
+    # second batch.
     made = []
-    count = polytope.count_lattice_points
+    counts = polytope.dilate_counts
 
-    def recording(p, n):
-        made.append(n)
-        return count(p, n)
+    def recording(p, ns):
+        made.append(list(ns))
+        return counts(p, ns)
 
-    monkeypatch.setattr(polytope, "count_lattice_points", recording)
+    monkeypatch.setattr(polytope, "dilate_counts", recording)
     code, out = run(capsys, "ehrhart", square_file, "--max-dilate", "6")
     assert code == 0
     assert out.splitlines()[2:] == [f"count n={n} value={(n + 1) ** 2}" for n in range(1, 7)]
-    assert made == [1, 2, 3, 4, 5, 6]
+    assert made == [[1, 2, 3, 4], [5, 6]]
 
 
 def test_verify_polytope_halfseg(capsys, halfseg_file):
@@ -229,6 +233,20 @@ def test_internal_assertion_exits_1(capsys, monkeypatch, square_file):
     assert captured.out == ""
 
 
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    # The series of weights 100000, 99999 runs to about 10^10 terms.  The
+    # expansion is replaced by one that fails at once, so nothing large is
+    # allocated.
+    def exhausted(hs, upto):
+        raise MemoryError
+
+    monkeypatch.setattr(hilbert, "series_coefficients", exhausted)
+    assert cli.main(["hilbert", "--weights", "100000,99999"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out of memory\n"
+    assert captured.out == ""
+
+
 def _start(*argv):
     src = os.path.dirname(os.path.dirname(quasigrade.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -253,3 +271,25 @@ def test_unreadable_input_exits_2_in_a_process(tmp_path):
     assert proc.returncode == 2
     assert out == b""
     assert err.startswith(b"error: [Errno 2]")
+
+
+def test_benchmark_worker_starts_and_tracer_installs(square):
+    # The benchmark's worker makes a first count_box call before it prints
+    # "ready", and its traced run rebinds the package's functions by name at
+    # every import site; a refactor that breaks either fails here.
+    worker = [sys.executable, os.path.join(PERFBENCH, "worker.py"), "--root", os.path.dirname(PERFBENCH),
+              "--workload", "planar-verify", "--seed", "1", "--seconds", "1", "--probe"]
+    proc = subprocess.run(worker, capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "ready\n"), proc.stderr
+    spec = importlib.util.spec_from_file_location("spans", os.path.join(PERFBENCH, "spans.py"))
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    tracer = spans.Tracer()
+    try:
+        tracer.install(quasigrade.__name__, _kernels.active_backend())
+        assert polytope.count_lattice_points(square, 2) == 9
+        assert tracer.calls["kernels.count_box"] == 1
+        assert tracer.counters["kernels.count_box.lattice_points"] == 9
+    finally:
+        tracer.uninstall()
+    assert polytope.count_box is _kernels.count_box

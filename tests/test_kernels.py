@@ -51,6 +51,21 @@ def test_counts_agree_with_brute_force():
             assert pt.count_lattice_points(poly, n) == expected, (poly.vertices, n)
 
 
+def test_dilate_counts_match_single_counts():
+    polys = _corpus() + [pt.load_polytope(path) for path in sorted(glob.glob(os.path.join(POLYTOPE_DIR, "*.poly")))]
+    for poly in polys:
+        for ns in ([], [0], [3, 1, 3], list(range(9)), [0, 7, 7, 2]):
+            assert pt.dilate_counts(poly, ns) == [pt.count_lattice_points(poly, n) for n in ns], (poly.vertices, ns)
+
+
+def test_negative_dilate_is_rejected():
+    poly = _corpus()[0]
+    with pytest.raises(ValueError, match="^dilation factor must be nonnegative$"):
+        pt.count_lattice_points(poly, -1)
+    with pytest.raises(ValueError, match="^dilation factor must be nonnegative$"):
+        pt.dilate_counts(poly, [2, -1])
+
+
 def test_count_box_direct():
     # x in [0,5], 2x <= 7  ->  x in {0,1,2,3}
     assert kn.count_box([0], [5], [((2,), 7)], []) == 4
@@ -93,6 +108,42 @@ def test_numpy_chunking_matches_python(monkeypatch):
     eqs = [((1, 0, 0, 0), 3)]
     assert kn.count_box(lo, hi, ineqs, []) == brute_force_count(lo, hi, ineqs, [])
     assert kn.count_box(lo, hi, ineqs, eqs) == brute_force_count(lo, hi, ineqs, eqs)
+    # Several boxes on the same normals, with 343, 7, 0 (empty), 1 and 18
+    # prefixes: with chunks of 16 and of 1 prefix, chunk boundaries fall
+    # inside boxes and between them.
+    normals = [row for row, _ in ineqs]
+    boxes = [
+        (lo, hi, [12, 5, 2, 5], [3]),
+        ([1, 0, 0, -2], [1, 0, 6, 4], [4, 2, 1, 2], [1]),
+        ([0, 0, 0, 0], [2, -1, 2, 2], [9, 9, 9, 9], [0]),
+        ([2, 2, 2, 0], [2, 2, 2, 5], [8, 3, 0, 2], [2]),
+        ([-1, 0, 1, -3], [0, 2, 3, 3], [3, 4, -2, 2], [0]),
+    ]
+    for limit in (16, 1):
+        monkeypatch.setattr(kn, "_CHUNK_LIMIT", limit)
+        for rows in ([], [row for row, _ in eqs]):
+            batch = [(l, h, b, d[: len(rows)]) for l, h, b, d in boxes]
+            expected = [brute_force_count(l, h, list(zip(normals, b)), list(zip(rows, d))) for l, h, b, d in batch]
+            assert kn.count_boxes(normals, rows, batch) == expected, (limit, rows)
+
+
+def test_batch_guard_covers_its_largest_box():
+    # In each batch one box fails the guard, by its width or by its
+    # right-hand side, and int64 arithmetic would overflow on it, so the
+    # whole batch must run on Python integers, in either order.
+    wide, far = 2**62, 2**63 - 2
+    assert not kn._fits_int64([0, 0], [3, wide], [], [])
+    assert not kn._fits_int64([0, 0], [3, 3], [((-1, 1), far)], [])
+    assert kn._fits_int64([0, 0], [3, 3], [((-1, 1), 4)], [])
+    batches = [
+        # Four slices of 2^62 + 1 points sum past 2^63.
+        ([], [([0, 0], [3, 3], [], []), ([0, 0], [3, wide], [], [])], [16, 4 * (wide + 1)]),
+        # s = far + x_1 passes 2^63 for x_1 >= 2.
+        ([(-1, 1)], [([0, 0], [3, 3], [4], []), ([0, 0], [3, 3], [far], [])], [16, 16]),
+    ]
+    for normals, boxes, expected in batches:
+        assert kn.count_boxes(normals, [], boxes) == expected
+        assert kn.count_boxes(normals, [], boxes[::-1]) == expected[::-1]
 
 
 _coeff = st.integers(-3, 3)
@@ -100,28 +151,37 @@ _coeff = st.integers(-3, 3)
 
 @st.composite
 def _boxes(draw):
+    """1-4 boxes on shared row normals, as (inequality normals, equality normals, boxes)."""
     m = draw(st.integers(1, 4))
-    lo = [draw(st.integers(-3, 2)) for _ in range(m)]
-    # A width of 0 makes the box empty.
-    hi = [l + draw(st.integers(0, 4)) - 1 for l in lo]
-    row = st.tuples(st.lists(_coeff, min_size=m, max_size=m).map(tuple), st.integers(-8, 8))
-    ineqs = draw(st.lists(row, max_size=4))
-    eqs = draw(st.lists(row, max_size=2))
-    return lo, hi, ineqs, eqs
+    normal = st.lists(_coeff, min_size=m, max_size=m).map(tuple)
+    ineq_normals = draw(st.lists(normal, max_size=4))
+    eq_normals = draw(st.lists(normal, max_size=2))
+    boxes = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = [draw(st.integers(-3, 2)) for _ in range(m)]
+        # A width of 0 makes the box empty.
+        hi = [l + draw(st.integers(0, 4)) - 1 for l in lo]
+        b = [draw(st.integers(-8, 8)) for _ in ineq_normals]
+        d = [draw(st.integers(-8, 8)) for _ in eq_normals]
+        boxes.append((lo, hi, b, d))
+    return ineq_normals, eq_normals, boxes
 
 
 @pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "object"])
 @settings(max_examples=300)
-@given(box=_boxes())
-def test_slice_counter_matches_brute_force(python_ints, box):
-    lo, hi, ineqs, eqs = box
-    expected = brute_force_count(lo, hi, ineqs, eqs)
+@given(batch=_boxes())
+def test_slice_counter_matches_brute_force(python_ints, batch):
+    ineq_normals, eq_normals, boxes = batch
+    rows = [(list(zip(ineq_normals, b)), list(zip(eq_normals, d))) for _, _, b, d in boxes]
+    expected = [brute_force_count(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows)]
     if python_ints:
         with mock.patch.object(kn, "_fits_int64", lambda *args: False):
-            assert kn.count_box(lo, hi, ineqs, eqs) == expected
+            assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected
+            assert [kn.count_box(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows)] == expected
     else:
-        assert kn._fits_int64(lo, hi, ineqs, eqs)
-        assert kn.count_box(lo, hi, ineqs, eqs) == expected
+        assert all(kn._fits_int64(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows))
+        assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected
+        assert [kn.count_box(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows)] == expected
 
 
 def _relint_count(p, n):
