@@ -190,11 +190,6 @@ def int_rref(
     return mat, pivots, order[:r]
 
 
-def int_rank(rows: Sequence[Sequence[int]]) -> int:
-    """Rank of an integer matrix, by fraction-free elimination."""
-    return len(int_rref(rows)[1])
-
-
 def solve_integer(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int] | None:
     """Some integer solution x of A·x = b, or None when none exists.
 

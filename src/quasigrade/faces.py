@@ -5,6 +5,10 @@ span of every delta-dimensional face of the polytope contains an integer
 point?  That threshold (delta_star) strictly bounds the grade of the Ehrhart
 quasipolynomial from above, and the verifier in this module recomputes both
 sides of that inequality on concrete polytopes.
+
+Faces come from the vertex-facet incidence that the polytope stores as one
+bitmask per facet, and their dimensions from the grading of the face
+lattice; no rank is computed.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 from . import polytope as _polytope
 from . import quasipoly
-from .exactmath import int_rank, solve_integer
+from .exactmath import solve_integer
 from .polytope import Equality, RationalPolytope
 from .quasipoly import QuasiPolynomial
 
@@ -22,9 +26,10 @@ from .quasipoly import QuasiPolynomial
 class Face:
     """A face of a parent polytope, recorded by the vertices it contains.
 
+    ``dim`` is the face's dimension, read off the graded face lattice.
     ``hull_equalities`` cut out the affine span of the face: the equalities
     of the polytope, then every facet row that holds all of its vertices.
-    The rows may be redundant; ``dim`` is m minus their rank.
+    The rows may be redundant.
     """
 
     vertex_indices: tuple[int, ...]
@@ -35,33 +40,40 @@ class Face:
 def enumerate_faces(p: RationalPolytope) -> list[Face]:
     """All nonempty faces, including every vertex and the polytope itself.
 
-    Faces are exactly the intersections of facet subsets, so the family of
-    facet vertex-sets is closed under intersection starting from the whole
-    vertex set; empty intersections are dropped and duplicates collapse
-    because a face is determined by its vertices.  The polytope's equalities
-    and the facet rows tight at all vertices of a face cut out its affine
-    span; they are its hull equalities.  Results are sorted by (dim, vertex
-    indices).
+    A face is determined by its vertex set, kept as a bitmask.  Faces are
+    exactly the intersections of facet subsets, so the facet vertex sets
+    (``p.facet_vertices``) are closed under intersection, starting from the
+    whole vertex set; empty intersections are dropped.  The face lattice is
+    graded (Kaibel and Pfetsch 2002): a vertex has dimension 0, and any other
+    face one more than the largest dimension among its proper subfaces.
+    Those include its own facets, each the meet of the face with a facet of
+    the polytope, so the meets with the facets are enough.  The polytope's
+    equalities and the facet rows tight at all vertices of a face cut out its
+    affine span; they are its hull equalities.  Results are sorted by (dim,
+    vertex indices).
     """
-    everything = frozenset(range(len(p.vertices)))
-    incidence = _polytope.incidence(p.vertices, p.inequalities)
-    facet_sets = [s for s in incidence if s]
-    known: set[frozenset[int]] = {everything} | set(facet_sets)
+    facets = p.facet_vertices
+    known = {(1 << len(p.vertices)) - 1, *facets}
     frontier = list(known)
     while frontier:
         nxt = []
-        for face_set in frontier:
-            for facet in facet_sets:
-                meet = face_set & facet
+        for face in frontier:
+            for facet in facets:
+                meet = face & facet
                 if meet and meet not in known:
                     known.add(meet)
                     nxt.append(meet)
         frontier = nxt
+    dims: dict[int, int] = {}
+    for face in sorted(known, key=int.bit_count):
+        below = [dims[meet] for facet in facets if (meet := face & facet) and meet != face]
+        dims[face] = 1 + max(below) if below else 0
     faces = []
-    for vset in known:
-        eqs = p.equalities + tuple(row for row, s in zip(p.inequalities, incidence) if vset <= s)
-        dim = p.ambient_dim - int_rank([c for c, _ in eqs])
-        faces.append(Face(vertex_indices=tuple(sorted(vset)), dim=dim, hull_equalities=eqs))
+    for face, dim in dims.items():
+        # Lists, not generators, for the tuples (see ``polytope._assemble``).
+        rows = [row for row, facet in zip(p.inequalities, facets) if face & ~facet == 0]
+        indices = [i for i in range(face.bit_length()) if face >> i & 1]
+        faces.append(Face(vertex_indices=tuple(indices), dim=dim, hull_equalities=p.equalities + tuple(rows)))
     faces.sort(key=lambda f: (f.dim, f.vertex_indices))
     return faces
 

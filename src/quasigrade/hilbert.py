@@ -134,31 +134,30 @@ def hilbert_quasipolynomial(hs: HilbertSeries) -> tuple[QuasiPolynomial, int]:
     """Quasipolynomial matching the series coefficients from some index on.
 
     Returns (Q, n0) where n0 is the least index with c_n = Q(n) for all
-    n >= n0, found by fitting on a window far past the transient and scanning
-    downward.  The fit is cross-validated on one extra full period.
+    n >= n0.  Write the series as p/q, q the product of the (1 - t^e) of
+    degree E = sum(e), and divide: p = s·q + r with deg r < E.  The
+    coefficients of r/q are a quasipolynomial for every n >= 0 (Stanley,
+    *Enumerative Combinatorics I*, §4.4), and s has degree deg p - E with a
+    nonzero top coefficient, so n0 = max(0, deg p - E + 1).  Q is fitted on
+    the window that starts at n0 and cross-validated on one extra full
+    period.
     """
     numerator = _trimmed(hs.numerator)
     d = len(hs.denominator_exponents)
     if not numerator:
         return quasipoly.ZERO, 0
+    n0 = max(0, len(numerator) - sum(hs.denominator_exponents))
     if d == 0:
-        return quasipoly.ZERO, len(numerator)
+        return quasipoly.ZERO, n0
     lcm_e = math.lcm(*hs.denominator_exponents)
     # d+1 samples per residue: one more than the degree bound d-1 needs, so
     # the fit itself cross-checks a surplus point on every residue.
-    window = lcm_e * (d + 1)
-    top = (len(numerator) - 1) + 2 * window
-    coeffs = series_coefficients(hs, top + lcm_e)
-    samples = {n: coeffs[n] for n in range(top - window + 1, top + 1)}
-    q = quasipoly.fit_from_samples(samples, lcm_e, d - 1)
-    for n in range(top + 1, top + lcm_e + 1):
+    top = n0 + lcm_e * (d + 1)
+    coeffs = series_coefficients(hs, top + lcm_e - 1)
+    q = quasipoly.fit_from_samples({n: coeffs[n] for n in range(n0, top)}, lcm_e, d - 1)
+    for n in range(top, top + lcm_e):
         if quasipoly.evaluate(q, n) != coeffs[n]:
             raise InconsistentFitError(f"inconsistent fit: series coefficient at n={n} disagrees")
-    n0 = 0
-    for n in range(top - window, -1, -1):
-        if quasipoly.evaluate(q, n) != coeffs[n]:
-            n0 = n + 1
-            break
     return q, n0
 
 

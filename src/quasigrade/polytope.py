@@ -7,9 +7,10 @@ equalities c·x = d).  Construction runs on integers wherever it can:
 * From points, one double-description run on integers computes the facet
   rows and the hull equalities of their convex hull.  It then checks that
   every input point satisfies every row and every equality (a failure is an
-  internal error), and keeps as vertices exactly the points at which the
-  tight rows and the equalities have rank m.  The vertices are not derived a
-  second time from the rows.
+  internal error), and keeps as vertices exactly the points that are alone
+  in the meet of the zero sets of their tight rows.  The vertices are not
+  derived a second time from the rows, and each facet keeps its vertex set
+  as a bitmask.
 * From inequalities, the same double-description routine enumerates the
   vertices of the set they describe and rejects an empty or unbounded set;
   the polytope is then built from those vertices as above.  The stored rows
@@ -37,7 +38,6 @@ from ._kernels import count_box, count_boxes
 from .errors import InconsistentFitError, InputFormatError, PolytopeError
 from .exactmath import (
     format_rational,
-    int_rank,
     int_rref,
     lcm_denominators,
     parse_rational,
@@ -94,19 +94,6 @@ def _scaled(p: Point) -> tuple[list[int], int]:
     """(s·p, s) with s the lcm of the denominators of p, so s·p is integral."""
     scale = lcm_denominators(p)
     return [c.numerator * (scale // c.denominator) for c in p], scale
-
-
-def incidence(points: Sequence[Point], rows: Sequence[Inequality]) -> list[frozenset[int]]:
-    """For each row a·x <= b, the indices of the points with a·x = b.
-
-    Each point is scaled to integers once, and the rows are compared by
-    integer dot products.
-    """
-    scaled = [_scaled(p) for p in points]
-    return [
-        frozenset(i for i, (x, s) in enumerate(scaled) if _int_dot(a, x) == b * s)
-        for a, b in rows
-    ]
 
 
 def _primitive(values: Sequence[int]) -> list[int]:
@@ -292,6 +279,9 @@ class RationalPolytope:
     inequalities: tuple[Inequality, ...]
     equalities: tuple[Equality, ...]
     dim: int
+    # One bitmask per row of ``inequalities``: bit j is set when vertex j is
+    # tight at that row.
+    facet_vertices: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if not self.vertices:
@@ -317,31 +307,48 @@ def _assemble(
 ) -> RationalPolytope:
     """Polytope from sorted distinct points and the rows of their hull.
 
-    Every point must satisfy every row of the hull (an internal check).  A
-    point is a vertex exactly when the normals of the rows tight at it,
-    together with the equality normals, have rank m.
+    Every point must satisfy every row of the hull (an internal check).  The
+    slacks give each row's zero set, the bitmask of the points tight at it.
+    A point is a vertex exactly when the meet of the zero sets of the rows
+    tight at it is the point alone: otherwise the smallest face holding it
+    has dimension 1 or more, so it holds two vertices, and both are input
+    points.  Each facet's zero set is then stored as a bitmask over the
+    vertices.
     """
-    m = len(pts[0])
-    eq_normals = [c for c, _ in eqs]
-    verts = []
-    for p in pts:
+    zeros = [0] * len(ineqs)
+    tight = []
+    for i, p in enumerate(pts):
         x, scale = _scaled(p)
         slacks = [b * scale - _int_dot(a, x) for a, b in ineqs]
         if min(slacks, default=0) < 0 or any(_int_dot(c, x) != d * scale for c, d in eqs):
             raise AssertionError("point violates its own hull")
-        tight = [a for (a, _), s in zip(ineqs, slacks) if s == 0]
-        if int_rank(tight + eq_normals) == m:
-            verts.append(p)
+        tight.append([r for r, s in enumerate(slacks) if s == 0])
+        for r in tight[-1]:
+            zeros[r] |= 1 << i
+    kept = []
+    for i, rows in enumerate(tight):
+        meet = (1 << len(pts)) - 1
+        for r in rows:
+            meet &= zeros[r]
+        if meet == 1 << i:
+            kept.append(i)
+    # Tuples are made from lists, which fixes their size up front: a tuple
+    # grown from a generator is resized, and CPython then keeps it on the
+    # free list of a size it was not taken from, which raises peak memory.
+    verts = [pts[i] for i in kept]
     if strict and len(verts) != len(pts):
         extras = sorted(set(pts) - set(verts))
         shown = " ".join(str(tuple(map(str, p))) for p in extras[:3])
         raise PolytopeError(f"vertex list is not irredundant: {shown}")
+    masks = [sum(1 << j for j, i in enumerate(kept) if z >> i & 1) for z in zeros]
+    m = len(pts[0])
     return RationalPolytope(
         ambient_dim=m,
         vertices=tuple(verts),
         inequalities=ineqs,
         equalities=eqs,
         dim=m - len(eqs),
+        facet_vertices=tuple(masks),
     )
 
 

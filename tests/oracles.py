@@ -5,16 +5,24 @@ implementation: ``exactmath.solve_integer`` now decides A·x = b by a column
 echelon form, and the tests compare its verdicts with ``snf_solve``.
 ``int_det`` and ``int_solve`` are the fraction-free determinant and square
 solver that the subset construction reference in ``test_construction.py``
-and the Smith-form property tests call.
+and the Smith-form property tests call.  ``rank_vertices`` and
+``rank_faces`` are the rank tests that vertices and face dimensions were
+decided by before the vertex-facet incidence replaced them, and
+``scanned_hilbert_quasipolynomial`` finds the Hilbert transient by the
+downward scan that the closed form for ``n0`` replaced.
 
 Matrices are plain lists of integer rows.
 """
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from typing import Sequence
 
+from quasigrade import quasipoly
 from quasigrade.exactmath import int_rref
+from quasigrade.hilbert import HilbertSeries, series_coefficients
 
 
 def identity(n: int) -> list[list[int]]:
@@ -23,6 +31,86 @@ def identity(n: int) -> list[list[int]]:
 
 def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> list[list[int]]:
     return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def int_rank(rows: Sequence[Sequence[int]]) -> int:
+    """Rank of an integer matrix, by fraction-free elimination."""
+    return len(int_rref(rows)[1])
+
+
+def _tight_sets(points, inequalities) -> list[frozenset[int]]:
+    """For each row a·x <= b, the indices of the points with a·x = b, by integer dot products."""
+    scaled = []
+    for p in points:
+        scale = math.lcm(*(Fraction(c).denominator for c in p))
+        scaled.append(([int(c * scale) for c in p], scale))
+    return [
+        frozenset(i for i, (x, s) in enumerate(scaled) if sum(ai * xi for ai, xi in zip(a, x)) == b * s)
+        for a, b in inequalities
+    ]
+
+
+def rank_vertices(points, inequalities, equalities) -> list:
+    """The points at which the tight rows and the equality normals have rank m."""
+    m = len(points[0])
+    normals = [c for c, _ in equalities]
+    tight = _tight_sets(points, inequalities)
+    return [
+        p for i, p in enumerate(points)
+        if int_rank([a for (a, _), zeros in zip(inequalities, tight) if i in zeros] + normals) == m
+    ]
+
+
+def rank_faces(p) -> list[tuple[tuple[int, ...], int]]:
+    """(vertex indices, dimension) of every nonempty face of a polytope, sorted by (dimension, indices).
+
+    The facet vertex sets come from integer dot products and are closed
+    under intersection.  A face's dimension is m minus the rank of the
+    equality normals and the normals of the facets holding all its vertices.
+    """
+    incidence = _tight_sets(p.vertices, p.inequalities)
+    known = {frozenset(range(len(p.vertices)))} | set(incidence)
+    frontier = list(known)
+    while frontier:
+        nxt = []
+        for face in frontier:
+            for facet in incidence:
+                meet = face & facet
+                if meet and meet not in known:
+                    known.add(meet)
+                    nxt.append(meet)
+        frontier = nxt
+    faces = []
+    for face in known:
+        normals = [c for c, _ in p.equalities]
+        normals += [a for (a, _), facet in zip(p.inequalities, incidence) if face <= facet]
+        faces.append((p.ambient_dim - int_rank(normals), tuple(sorted(face))))
+    return [(indices, dim) for dim, indices in sorted(faces)]
+
+
+def scanned_hilbert_quasipolynomial(hs: HilbertSeries) -> tuple[quasipoly.QuasiPolynomial, int]:
+    """(Q, n0) of a series by a fit far past the transient and a downward scan.
+
+    The fit window ends 2·window past the numerator's degree.  n0 is one
+    past the largest index below the window at which the coefficient and Q
+    differ, or 0.
+    """
+    numerator = hs.numerator
+    d = len(hs.denominator_exponents)
+    if not numerator:
+        return quasipoly.ZERO, 0
+    if d == 0:
+        return quasipoly.ZERO, len(numerator)
+    lcm_e = math.lcm(*hs.denominator_exponents)
+    window = lcm_e * (d + 1)
+    top = (len(numerator) - 1) + 2 * window
+    coeffs = series_coefficients(hs, top + lcm_e)
+    q = quasipoly.fit_from_samples({n: coeffs[n] for n in range(top - window + 1, top + 1)}, lcm_e, d - 1)
+    assert all(quasipoly.evaluate(q, n) == coeffs[n] for n in range(top + 1, top + lcm_e + 1))
+    for n in range(top - window, -1, -1):
+        if quasipoly.evaluate(q, n) != coeffs[n]:
+            return q, n + 1
+    return q, 0
 
 
 def int_det(rows: Sequence[Sequence[int]]) -> int:

@@ -17,7 +17,7 @@ not depend on the draw.
 """
 
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -164,8 +164,9 @@ def subset_hrep(vertices):
     """Facets from the k-subsets of the points, on integer pivot coordinates.
 
     A subset's normal is its minor vector; it spans a facet when every point
-    lies on one closed side.  Subsets inside a facet already found are
-    skipped.  The ambient row comes from a dual basis of the direction space.
+    lies on one closed side.  Subsets inside a hyperplane already tested are
+    skipped: their minor vector is zero or the same normal up to sign.  The
+    ambient row comes from a dual basis of the direction space.
     """
     pts = sorted({tuple(F(c) for c in p) for p in vertices})
     m = len(pts[0])
@@ -180,11 +181,10 @@ def subset_hrep(vertices):
     dual = [row[k:] for row in rat_rref([[_dot(b, c) for c in basis] + b for b in basis])[0]]
     scale = lcm_denominators(p[j] for p in pts for j in pivots)
     coords = [tuple(int(p[j] * scale) for j in pivots) for p in pts]
-    facet_masks = []
+    tested = set()
     rows = []
     for subset in combinations(range(len(pts)), k):
-        bits = sum(1 << i for i in subset)
-        if any(bits & ~mask == 0 for mask in facet_masks):
+        if subset in tested:
             continue
         q0 = coords[subset[0]]
         normal = _minor_normal([[a - b for a, b in zip(coords[i], q0)] for i in subset[1:]])
@@ -192,15 +192,21 @@ def subset_hrep(vertices):
             continue
         rhs = pt._int_dot(normal, q0)
         values = [pt._int_dot(normal, q) for q in coords]
+        tested.update(combinations([i for i, v in enumerate(values) if v == rhs], k))
         above = max(values) > rhs
         if above and min(values) < rhs:
             continue
         if above:
             normal = [-c for c in normal]
-        facet_masks.append(sum(1 << i for i, v in enumerate(values) if v == rhs))
         ambient = [_dot(normal, column) for column in zip(*dual)]
         rows.append(pt._clear_row(ambient, _dot(ambient, pts[subset[0]])))
     return tuple(sorted(rows)), eqs
+
+
+def _direction(normal):
+    """The primitive normal with a positive leading entry, shared by all nonzero multiples."""
+    v = pt._primitive(list(normal))
+    return tuple(-x for x in v) if next(x for x in v if x) < 0 else tuple(v)
 
 
 def square_system_vrep(inequalities, equalities, m):
@@ -208,7 +214,9 @@ def square_system_vrep(inequalities, equalities, m):
 
     The feasible solutions are the vertices; with none the set is empty.  A
     nonempty set is unbounded when it has lineality or a recession ray among
-    the minor vectors of m-1 normals.
+    the minor vectors of m-1 normals.  Two parallel normals make a square
+    system singular and a minor vector zero, so a subset takes at most one
+    row of each normal direction, and repeated rows count once.
     """
     ineqs = [(tuple(a), b) for a, b in inequalities]
     eqs = [(tuple(c), d) for c, d in equalities]
@@ -219,8 +227,13 @@ def square_system_vrep(inequalities, equalities, m):
         raise PolytopeError("empty")
     pinned = [pt._clear_row(row[:m], row[m]) for row in eq_rref[: len(eq_pivots)]]
     pinned += [pt._clear_row(v, F(0)) for v in lineality]
+    by_direction: dict[tuple[int, ...], set] = {}
+    for a, b in ineqs:
+        if any(a):
+            by_direction.setdefault(_direction(a), set()).add(pt._clear_row(a, b))
+    subsets = (s for groups in combinations(by_direction.values(), m - len(pinned)) for s in product(*groups))
     seen = set()
-    for subset in combinations(ineqs, m - len(pinned)):
+    for subset in subsets:
         system = pinned + list(subset)
         solved = int_solve([a for a, _ in system], [b for _, b in system])
         if solved is None:
@@ -232,7 +245,7 @@ def square_system_vrep(inequalities, equalities, m):
         raise PolytopeError("empty")
     if lineality:
         raise PolytopeError("unbounded")
-    for subset in combinations(normals, m - 1):
+    for subset in combinations(sorted({_direction(a) for a in normals if any(a)}), m - 1):
         ray = _minor_normal(subset)
         if not any(ray):
             continue

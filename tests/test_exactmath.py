@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from quasigrade.errors import InputFormatError
 from quasigrade.exactmath import (
     format_rational,
-    int_rank,
     lcm_denominators,
     parse_rational,
     rat_det,
@@ -17,7 +16,7 @@ from quasigrade.exactmath import (
 )
 from quasigrade.rng import XorShift64Star
 
-from oracles import identity, int_det, int_solve, mat_mul, smith_normal_form, snf_solve
+from oracles import identity, int_det, int_rank, int_solve, mat_mul, smith_normal_form, snf_solve
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from quasigrade import faces as fc, polytope as pt, quasipoly as qp
+from quasigrade.errors import PolytopeError
 from quasigrade.exactmath import solve_integer
 from quasigrade.rng import XorShift64Star
 
-from oracles import snf_solve
+from oracles import rank_faces, rank_vertices, snf_solve
+from test_construction import h_systems, larger_h_systems
 
 POLYTOPE_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "polytopes")
 
@@ -197,6 +199,7 @@ def _check_faces_against_reference(p):
     assert [(f.vertex_indices, f.dim) for f in faces] == [
         (f.vertex_indices, f.dim) for f in expected
     ]
+    assert [(f.vertex_indices, f.dim) for f in faces] == rank_faces(p)
     for face, ref in zip(faces, expected):
         # The rows hold every vertex of the face, and they have the rank of
         # its affine hull, so they cut out exactly its span.
@@ -231,10 +234,30 @@ def clouds(draw):
     return points
 
 
+def _with_midpoints(points):
+    """The points and the midpoint of each with the one before it (cyclically).
+
+    No midpoint of two distinct points is a vertex of their hull.
+    """
+    pts = [tuple(F(c) for c in q) for q in points]
+    return pts + [tuple((a + b) / 2 for a, b in zip(p, q)) for p, q in zip(pts, pts[-1:] + pts[:-1])]
+
+
+def _check_vertices_against_rank_test(points):
+    """The hull's vertices and facet vertex sets agree with the rank test and with dot products."""
+    pts = sorted({tuple(F(c) for c in q) for q in points})
+    poly = pt.from_point_cloud(pts)
+    assert list(poly.vertices) == rank_vertices(pts, poly.inequalities, poly.equalities)
+    for (a, b), mask in zip(poly.inequalities, poly.facet_vertices):
+        assert mask == sum(1 << i for i, v in enumerate(poly.vertices) if _dot(a, v) == b)
+    return poly
+
+
 @settings(max_examples=150)
 @given(clouds())
 def test_faces_match_reference_on_clouds(points):
     _check_faces_against_reference(pt.from_point_cloud(points))
+    _check_faces_against_reference(_check_vertices_against_rank_test(_with_midpoints(points)))
 
 
 @pytest.mark.parametrize("path", sorted(glob.glob(os.path.join(POLYTOPE_DIR, "*.poly"))),
@@ -243,10 +266,41 @@ def test_faces_match_reference_on_corpus(path):
     poly = pt.load_polytope(path)
     _check_faces_against_reference(poly)
     _check_spans_against_smith_form(poly)
+    assert _check_vertices_against_rank_test(_with_midpoints(poly.vertices)) == poly
 
 
 def test_faces_match_reference_on_a_37_facet_hull(cloud40):
-    poly = pt.from_point_cloud(cloud40)
-    assert len(poly.inequalities) == 37
+    poly = _check_vertices_against_rank_test(cloud40)
+    assert len(poly.vertices) == 21 and len(poly.inequalities) == 37
     _check_faces_against_reference(poly)
     _check_spans_against_smith_form(poly)
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(0, 0, 0), (2, 0, 0), (0, 2, 0), (F(1, 2), F(1, 2), 0)],
+        [(0, 0, 0, 0), (1, 2, 3, 4), (F(1, 3), F(2, 3), 1, F(4, 3))],
+        [(x, y, x + y, 1) for x in (0, 1) for y in (0, 1)] + [(F(1, 2), F(1, 2), 1, 1)],
+        [(1, F(1, 2), 3)] * 2,
+    ],
+    ids=["triangle-in-3d", "segment-in-4d", "square-in-4d", "point-in-3d"],
+)
+def test_rank_references_on_lower_dimensional_hulls(points):
+    poly = _check_vertices_against_rank_test(_with_midpoints(points))
+    assert poly.dim < poly.ambient_dim
+    _check_faces_against_reference(poly)
+
+
+@settings(max_examples=200)
+@given(st.one_of(h_systems(), larger_h_systems()))
+def test_rank_references_on_h_systems(system):
+    """H-inputs, each equality entered as two opposite rows."""
+    ineqs, eqs, m = system
+    rows = ineqs + [row for c, d in eqs for row in ((c, d), (tuple(-v for v in c), -d))]
+    try:
+        poly = pt.from_inequalities(rows, m)
+    except PolytopeError:
+        return
+    assert [(f.vertex_indices, f.dim) for f in fc.enumerate_faces(poly)] == rank_faces(poly)
+    assert _check_vertices_against_rank_test(_with_midpoints(poly.vertices)) == poly

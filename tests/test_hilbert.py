@@ -1,6 +1,8 @@
 import math
 from itertools import combinations_with_replacement
 
+from hypothesis import given, settings, strategies as st
+
 from quasigrade import quasipoly as qp
 from quasigrade.hilbert import (
     HilbertSeries,
@@ -14,6 +16,8 @@ from quasigrade.hilbert import (
     verify_grade_bound_weighted,
 )
 from quasigrade.rng import XorShift64Star
+
+from oracles import scanned_hilbert_quasipolynomial
 
 
 def test_series_examples():
@@ -95,6 +99,16 @@ def test_degree_and_period_contracts_random():
         coeffs = series_coefficients(hs, n0 + 10)
         for n in range(n0, n0 + 11):
             assert qp.evaluate(q, n) == coeffs[n]
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=12),
+    st.lists(st.integers(1, 6), min_size=0, max_size=4),
+)
+def test_closed_form_n0_matches_scan(numerator, weights):
+    hs = HilbertSeries.make(numerator, weights)
+    assert hilbert_quasipolynomial(hs) == scanned_hilbert_quasipolynomial(hs)
 
 
 def test_dim_quotient_examples():
