@@ -3,12 +3,17 @@
 The package computes, with exact rational arithmetic throughout:
 
 * quasipolynomials (periodic-coefficient polynomials): evaluation, minimal
-  period, grade, shift differences, interpolation from samples;
+  period, grade, shift differences, interpolation from samples checked on
+  every surplus sample;
 * coefficient sequences of rational series p(t)/prod(1 - t^{e_i}) and their
   quasipolynomials, plus the grade bound for weighted free modules;
-* rational polytopes: exact lattice-point counts of dilates, Ehrhart
-  quasipolynomials, face enumeration, and the lattice-point test on affine
-  spans of faces, feeding the grade-versus-delta verifier.
+* rational polytopes, built on integers: exact lattice-point counts of
+  dilates, Ehrhart quasipolynomials, face enumeration, and the lattice-point
+  test on affine spans of faces, feeding the grade-versus-delta verifier.
+
+The references that the tests compare against (volume, denumerant, pole
+order, brute-force quotient dimension, Fraction linear algebra) live in
+``tests/oracles.py``.
 """
 
 from .exactmath import (
@@ -16,7 +21,6 @@ from .exactmath import (
     format_rational,
     lcm_denominators,
     parse_rational,
-    rat_rank,
     solve_integer,
 )
 from .faces import (
@@ -32,11 +36,8 @@ from .hilbert import (
     HilbertSeries,
     WeightedGradeReport,
     WeightedModulePresentation,
-    denumerant,
-    dim_quotient_bruteforce,
     dim_quotient_coprime,
     hilbert_quasipolynomial,
-    pole_order_at_one,
     series_coefficients,
     verify_grade_bound_weighted,
 )
@@ -52,7 +53,6 @@ from .polytope import (
     hrep_from_vrep,
     load_polytope,
     parse_polytope,
-    volume,
     vrep_from_hrep,
 )
 from .quasipoly import (

@@ -66,9 +66,7 @@ def _cmd_faces(args: argparse.Namespace) -> int:
         coords = " ".join(str(Fraction(c)) for c in v)
         print(f"vertex {i}: {coords}")
     for face in faces_mod.enumerate_faces(poly):
-        ok = faces_mod.affine_span_contains_lattice_point(face)
-        verts = ",".join(str(i) for i in face.vertex_indices)
-        print(f"face dim={face.dim} vertices={verts} span_lattice={'true' if ok else 'false'}")
+        print(faces_mod.format_face(face, faces_mod.affine_span_contains_lattice_point(face)))
     return EXIT_OK
 
 

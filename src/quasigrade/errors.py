@@ -13,14 +13,11 @@ class InsufficientSamplesError(QuasigradeError, ValueError):
     """A residue class does not carry enough sample points for the requested fit."""
 
 
-class InconsistentSamplesError(QuasigradeError, ValueError):
-    """Surplus sample points contradict the fitted polynomial of a residue class."""
-
-
 class InconsistentFitError(QuasigradeError):
-    """A fitted quasipolynomial failed validation against fresh values.
+    """A fitted quasipolynomial failed validation against surplus values.
 
-    This signals an internal defect, never a user error.
+    Raised from the package's own fits, it signals an internal defect, never
+    bad input.
     """
 
 

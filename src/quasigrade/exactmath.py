@@ -4,6 +4,9 @@ Every quantity in this package is an exact rational (``fractions.Fraction``,
 which stores a reduced numerator over a positive denominator) or an exact
 arbitrary-precision integer.  No floating point is used anywhere; equality of
 computed values is therefore structural equality.
+
+Rational elimination serves only the Vandermonde solves of the
+quasipolynomial fit; polytopes and span tests run on integers.
 """
 
 from __future__ import annotations
@@ -103,29 +106,6 @@ def rat_rref(rows: Sequence[Sequence[Fraction | int]]) -> tuple[list[list[Fracti
         if r == len(mat):
             break
     return mat, pivots
-
-
-def rat_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
-    """Rank over the rationals, by exact fraction-preserving elimination."""
-    _, pivots = rat_rref(rows)
-    return len(pivots)
-
-
-def rat_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
-    """Basis of the right nullspace {x : rows·x = 0}, deterministic order."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    rref, pivots = rat_rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
-    return basis
 
 
 def rat_solve(
@@ -231,25 +211,3 @@ def solve_integer(rows: Sequence[Sequence[int]], rhs: Sequence[int]) -> list[int
     assert all(sum(a * v for a, v in zip(row, x)) == b for row, b in zip(rows, rhs))
     return x
 
-
-def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
-    """Exact determinant of a square rational matrix (Gaussian elimination)."""
-    n = len(rows)
-    m = [[Fraction(x) for x in row] for row in rows]
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    det = Fraction(1)
-    for k in range(n):
-        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != k:
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            det = -det
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            if m[i][k] != 0:
-                f = m[i][k] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
-    return det

@@ -168,6 +168,12 @@ def verify_ehrhart_grade_bound(p: RationalPolytope) -> EhrhartGradeReport:
     )
 
 
+def format_face(face: Face, ok: bool) -> str:
+    """The report line of one face and the verdict of its span test."""
+    verts = ",".join(str(i) for i in face.vertex_indices)
+    return f"face dim={face.dim} vertices={verts} span_lattice={'true' if ok else 'false'}"
+
+
 def format_report(report: EhrhartGradeReport) -> str:
     """Machine-readable report: key=value lines, quasipolynomial block, face lines."""
     lines = [
@@ -180,9 +186,5 @@ def format_report(report: EhrhartGradeReport) -> str:
     if report.delta_star is None:
         lines.append("hypothesis=vacuous")
     lines.append(quasipoly.format_quasipolynomial(report.quasipolynomial))
-    for face, ok in report.face_results:
-        verts = ",".join(str(i) for i in face.vertex_indices)
-        lines.append(
-            f"face dim={face.dim} vertices={verts} span_lattice={'true' if ok else 'false'}"
-        )
+    lines += [format_face(face, ok) for face, ok in report.face_results]
     return "\n".join(lines)

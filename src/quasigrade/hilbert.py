@@ -6,6 +6,9 @@ pole order at t = 1 and whose minimal period divides lcm(e_i).  The module
 also verifies the grade bound for free modules over weighted polynomial
 rings: the grade of the quasipolynomial stays strictly below the dimension of
 the quotient by the ideal generated in degrees coprime to the period.
+
+Their independent checks (denumerant, pole order at t = 1, brute-force
+quotient dimension) are references in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 from . import quasipoly
-from .errors import InconsistentFitError
 from .exactmath import prime_factors
 from .quasipoly import QuasiPolynomial
 
@@ -80,56 +82,6 @@ def series_coefficients(hs: HilbertSeries, upto: int) -> list[int]:
     return c
 
 
-def denumerant(weights: list[int] | tuple[int, ...], n: int) -> int:
-    """Number of ways to write n as a nonnegative integer combination of the weights.
-
-    Independent oracle for the pure series 1/prod(1 - t^{e_i}): a memoized
-    count over weight prefixes, not a series expansion.
-    """
-    if n < 0:
-        raise ValueError("target must be nonnegative")
-    ws = tuple(weights)
-    memo: dict[tuple[int, int], int] = {}
-
-    def count(idx: int, rem: int) -> int:
-        if rem == 0:
-            return 1
-        if idx == len(ws):
-            return 0
-        key = (idx, rem)
-        if key not in memo:
-            total = count(idx + 1, rem)
-            if rem >= ws[idx]:
-                total += count(idx, rem - ws[idx])
-            memo[key] = total
-        return memo[key]
-
-    return count(0, n)
-
-
-def _divide_by_one_minus_t(p: list[int]) -> list[int]:
-    """Quotient q with p(t) = (1 - t)·q(t); requires p(1) = 0."""
-    q = []
-    acc = 0
-    for coeff in p[:-1]:
-        acc += coeff
-        q.append(acc)
-    return q
-
-
-def pole_order_at_one(hs: HilbertSeries) -> int:
-    """Order of the pole at t = 1 after cancelling numerator roots there."""
-    d = len(hs.denominator_exponents)
-    p = list(_trimmed(hs.numerator))
-    if not p:
-        return 0
-    m = 0
-    while m < d and sum(p) == 0:
-        p = _divide_by_one_minus_t(p)
-        m += 1
-    return d - m
-
-
 def hilbert_quasipolynomial(hs: HilbertSeries) -> tuple[QuasiPolynomial, int]:
     """Quasipolynomial matching the series coefficients from some index on.
 
@@ -139,8 +91,8 @@ def hilbert_quasipolynomial(hs: HilbertSeries) -> tuple[QuasiPolynomial, int]:
     coefficients of r/q are a quasipolynomial for every n >= 0 (Stanley,
     *Enumerative Combinatorics I*, §4.4), and s has degree deg p - E with a
     nonzero top coefficient, so n0 = max(0, deg p - E + 1).  Q is fitted on
-    the window that starts at n0 and cross-validated on one extra full
-    period.
+    the window of d+2 periods that starts at n0: d values on each residue fix
+    the fit, and the fit checks the other two.
     """
     numerator = _trimmed(hs.numerator)
     d = len(hs.denominator_exponents)
@@ -150,15 +102,9 @@ def hilbert_quasipolynomial(hs: HilbertSeries) -> tuple[QuasiPolynomial, int]:
     if d == 0:
         return quasipoly.ZERO, n0
     lcm_e = math.lcm(*hs.denominator_exponents)
-    # d+1 samples per residue: one more than the degree bound d-1 needs, so
-    # the fit itself cross-checks a surplus point on every residue.
-    top = n0 + lcm_e * (d + 1)
-    coeffs = series_coefficients(hs, top + lcm_e - 1)
-    q = quasipoly.fit_from_samples({n: coeffs[n] for n in range(n0, top)}, lcm_e, d - 1)
-    for n in range(top, top + lcm_e):
-        if quasipoly.evaluate(q, n) != coeffs[n]:
-            raise InconsistentFitError(f"inconsistent fit: series coefficient at n={n} disagrees")
-    return q, n0
+    top = n0 + lcm_e * (d + 2)
+    coeffs = series_coefficients(hs, top - 1)
+    return quasipoly.fit_from_samples({n: coeffs[n] for n in range(n0, top)}, lcm_e, d - 1), n0
 
 
 def dim_quotient_coprime(weights: list[int] | tuple[int, ...], pi: int) -> int:
@@ -168,56 +114,14 @@ def dim_quotient_coprime(weights: list[int] | tuple[int, ...], pi: int) -> int:
     Closed form: the maximum over primes p dividing pi of the number of
     weights divisible by p (0 when pi = 1).  A variable subset survives the
     ideal exactly when some prime divisor of pi divides every weight in it;
-    dim_quotient_bruteforce cross-checks this identity in the test suite.
+    the tests check this identity against a brute-force search over variable
+    subsets.
     """
     if pi < 1:
         raise ValueError("period must be positive")
     best = 0
     for p in prime_factors(pi):
         best = max(best, sum(1 for w in weights if w % p == 0))
-    return best
-
-
-def _reachable_degrees(weights: tuple[int, ...], cap: int) -> int:
-    """Bitmask of degrees <= cap realized by monomials in the given weights."""
-    reach = 1  # degree 0
-    limit = (1 << (cap + 1)) - 1
-    for w in weights:
-        while True:
-            grown = (reach | (reach << w)) & limit
-            if grown == reach:
-                break
-            reach = grown
-    return reach
-
-
-def dim_quotient_bruteforce(
-    weights: list[int] | tuple[int, ...], pi: int, cap: int
-) -> int:
-    """Brute-force oracle for dim_quotient_coprime.
-
-    Monomials of positive degree <= cap with degree coprime to pi generate a
-    monomial ideal; the quotient dimension is the number of variables minus a
-    minimum vertex cover of the generator supports, i.e. the largest variable
-    subset spanning no generator.  All subsets of the (few) variables are
-    scanned; within a subset the achievable degrees are enumerated up to cap.
-    """
-    if pi < 1:
-        raise ValueError("period must be positive")
-    if cap < 1:
-        raise ValueError("cap must be positive")
-    ws = tuple(weights)
-    d = len(ws)
-    coprime_mask = 0
-    for degree in range(1, cap + 1):
-        if math.gcd(degree, pi) == 1:
-            coprime_mask |= 1 << degree
-    best = 0
-    for bits in range(1 << d):
-        subset = tuple(ws[i] for i in range(d) if bits & (1 << i))
-        if _reachable_degrees(subset, cap) & coprime_mask:
-            continue  # subset spans a generator: not independent of the ideal
-        best = max(best, len(subset))
     return best
 
 

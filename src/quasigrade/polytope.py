@@ -21,8 +21,8 @@ equalities c·x = d).  Construction runs on integers wherever it can:
 Lattice points of the n-th dilate are counted exactly, slice by slice over its
 bounding box.  The boxes of all dilates come from the integer numerators of
 the polytope's box over one denominator, and ``dilate_counts`` counts any set
-of dilates in one batched kernel call; those counts are the samples and the
-held-out checks of the fitted Ehrhart quasipolynomial.
+of dilates in one batched kernel call; those counts are the samples of the
+fitted Ehrhart quasipolynomial, the surplus ones it is checked on included.
 """
 
 from __future__ import annotations
@@ -41,8 +41,6 @@ from .exactmath import (
     int_rref,
     lcm_denominators,
     parse_rational,
-    rat_det,
-    rat_nullspace,
     rat_rref,  # not called here; perfbench/spans.py requires this import site
 )
 from .quasipoly import QuasiPolynomial
@@ -50,40 +48,6 @@ from .quasipoly import QuasiPolynomial
 Point = tuple[Fraction, ...]
 Inequality = tuple[tuple[int, ...], int]
 Equality = tuple[tuple[int, ...], int]
-
-
-def _dot(a: Sequence, x: Sequence) -> Fraction:
-    return sum((Fraction(ai) * xi for ai, xi in zip(a, x)), Fraction(0))
-
-
-def _clear_row(coeffs: Sequence[Fraction], rhs: Fraction) -> tuple[tuple[int, ...], int]:
-    """Scale (coeffs | rhs) to coprime integers, keeping the row direction."""
-    scale = lcm_denominators(list(coeffs) + [rhs])
-    *ints, r = _primitive([int(c * scale) for c in coeffs] + [int(rhs * scale)])
-    return tuple(ints), r
-
-
-def _canonical_equality(coeffs: Sequence[Fraction], rhs: Fraction) -> Equality:
-    """Integer-primitive equality with lexicographically positive normal."""
-    ints, r = _clear_row(coeffs, rhs)
-    lead = next((v for v in ints if v != 0), 0)
-    if lead < 0:
-        ints = tuple(-v for v in ints)
-        r = -r
-    return ints, r
-
-
-def affine_hull(points: Sequence[Sequence[Fraction | int]]) -> tuple[Equality, ...]:
-    """Integer-cleared equations cutting out the affine span of the points."""
-    if not points:
-        raise ValueError("need at least one point")
-    pts = [tuple(Fraction(c) for c in p) for p in points]
-    m = len(pts[0])
-    v0 = pts[0]
-    dirs = [[p[j] - v0[j] for j in range(m)] for p in pts[1:]]
-    normals = rat_nullspace(dirs if dirs else [[Fraction(0)] * m])
-    eqs = [_canonical_equality(c, _dot(c, v0)) for c in normals]
-    return tuple(sorted(eqs))
 
 
 def _int_dot(a: Sequence[int], x: Sequence[int]) -> int:
@@ -118,6 +82,14 @@ def _kernel(reduced: list[list[int]], pivots: list[int], ncols: int) -> list[lis
                 y[c] = -row[f]
             basis.append(y)
     return basis
+
+
+def _canonical_equality(coeffs: Sequence[int], rhs: int) -> Equality:
+    """Primitive integer equality with lexicographically positive normal."""
+    *ints, r = _primitive([*coeffs, rhs])
+    if next((v for v in ints if v != 0), 0) < 0:
+        return tuple([-v for v in ints]), -r
+    return tuple(ints), r
 
 
 def _inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -193,7 +165,7 @@ def hrep_from_vrep(
     """
     if not vertices:
         raise ValueError("need at least one vertex")
-    pts = sorted({tuple(Fraction(c) for c in p) for p in vertices})
+    pts = sorted({tuple([Fraction(c) for c in p]) for p in vertices})
     m = len(pts[0])
     if m == 0:
         raise PolytopeError("degenerate input: ambient dimension 0")
@@ -233,6 +205,15 @@ def hrep_from_vrep(
     return tuple(sorted((row[:m], row[m]) for row in rows)), tuple(eqs)
 
 
+def affine_hull(points: Sequence[Sequence[Fraction | int]]) -> tuple[Equality, ...]:
+    """Integer equations c·x = d cutting out the affine span of the points.
+
+    They are the hull equalities of ``hrep_from_vrep``; no production path
+    needs them alone.
+    """
+    return hrep_from_vrep(points)[1]
+
+
 def vrep_from_hrep(
     inequalities: Sequence[Inequality],
     equalities: Sequence[Equality],
@@ -250,19 +231,19 @@ def vrep_from_hrep(
     if m < 1:
         raise PolytopeError("degenerate input: ambient dimension 0")
     rows = [(1,) + (0,) * m]
-    rows += [(int(b),) + tuple(-int(c) for c in a) for a, b in inequalities]
+    rows += [(int(b), *[-int(c) for c in a]) for a, b in inequalities]
     for c, d in equalities:
-        rows += [(int(d),) + tuple(-int(v) for v in c), (-int(d),) + tuple(int(v) for v in c)]
+        rows += [(int(d), *[-int(v) for v in c]), (-int(d), *[int(v) for v in c])]
     rows = sorted({tuple(_primitive(row)) for row in rows if any(row)})
     reduced, pivots, basis = int_rref(rows)
     pins = [tuple(_primitive(y)) for y in _kernel(reduced, pivots, m + 1)]
     if pins:
         starts = [rows[i] for i in basis] + pins
-        rows = sorted(set(rows) | set(pins) | {tuple(-v for v in pin) for pin in pins})
+        rows = sorted(set(rows) | set(pins) | {tuple([-v for v in pin]) for pin in pins})
         index = {row: i for i, row in enumerate(rows)}
         basis = [index[row] for row in starts]
     rays = [ray for ray, _ in _extreme_rays(rows, basis)]
-    verts = sorted(tuple(Fraction(v, ray[0]) for v in ray[1:]) for ray in rays if ray[0] > 0)
+    verts = sorted(tuple([Fraction(v, ray[0]) for v in ray[1:]]) for ray in rays if ray[0] > 0)
     if not verts:
         raise PolytopeError("empty")
     if pins or len(verts) < len(rays):
@@ -353,7 +334,7 @@ def _assemble(
 
 
 def _from_points(points: Sequence[Sequence[Fraction | int]], strict: bool) -> RationalPolytope:
-    pts = sorted({tuple(Fraction(c) for c in p) for p in points})
+    pts = sorted({tuple([Fraction(c) for c in p]) for p in points})
     return _assemble(pts, *hrep_from_vrep(pts), strict=strict)
 
 
@@ -422,58 +403,21 @@ def ehrhart_quasipolynomial(
 ) -> QuasiPolynomial:
     """Quasipolynomial n -> #(n·P ∩ Z^m), fitted from exact counts.
 
-    Samples run over n = 1, ..., D·(dim+1) with declared period
-    D = lcm of vertex denominators; the result is canonicalized and then
-    validated against D further counts.  The samples and the held-out counts
-    are made by one ``dilate_counts`` call.  When ``counts`` is given, every
-    count made here is stored in it under its n.
+    Samples run over n = 1, ..., D·(dim+2) with declared period
+    D = lcm of vertex denominators, all counted by one ``dilate_counts``
+    call: dim+1 of them on each residue fix the fit, and the fit checks the
+    last one.  When ``counts`` is given, every count made here is stored in
+    it under its n.
     """
     d = vertex_denominator_lcm(p)
-    limit = d * (p.dim + 1)
-    counts = {} if counts is None else counts
-    ns = range(1, limit + d + 1)
-    counts.update(zip(ns, dilate_counts(p, ns)))
-    q = quasipoly.fit_from_samples({n: counts[n] for n in range(1, limit + 1)}, d, p.dim)
-    for n in range(limit + 1, limit + d + 1):
-        if quasipoly.evaluate(q, n) != counts[n]:
-            raise InconsistentFitError(f"inconsistent fit: dilate count at n={n} disagrees")
+    ns = range(1, d * (p.dim + 2) + 1)
+    samples = dict(zip(ns, dilate_counts(p, ns)))
+    if counts is not None:
+        counts.update(samples)
+    q = quasipoly.fit_from_samples(samples, d, p.dim)
     if q.degree != p.dim:
         raise InconsistentFitError("inconsistent fit: degree below the polytope dimension")
     return q
-
-
-def _triangulate(points: list[Point]) -> list[tuple[Point, ...]]:
-    eqs = affine_hull(points)
-    m = len(points[0])
-    k = m - len(eqs)
-    if k == 0:
-        return [(points[0],)]
-    ineqs, _ = hrep_from_vrep(points)
-    apex = min(points)
-    out = []
-    for a, b in ineqs:
-        if _dot(a, apex) == b:
-            continue
-        facet_pts = [q for q in points if _dot(a, q) == b]
-        for simplex in _triangulate(facet_pts):
-            out.append((apex,) + simplex)
-    return out
-
-
-def volume(p: RationalPolytope) -> Fraction:
-    """Exact Euclidean volume of a full-dimensional polytope.
-
-    Fan triangulation from the lexicographically smallest vertex; each simplex
-    contributes |det| / dim!.
-    """
-    if p.dim != p.ambient_dim:
-        raise PolytopeError("not full-dimensional")
-    m = p.ambient_dim
-    total = Fraction(0)
-    for simplex in _triangulate(list(p.vertices)):
-        rows = [[simplex[i][j] - simplex[0][j] for j in range(m)] for i in range(1, m + 1)]
-        total += abs(rat_det(rows))
-    return total / math.factorial(m)
 
 
 def parse_polytope(text: str) -> RationalPolytope:
@@ -541,7 +485,8 @@ def parse_polytope(text: str) -> RationalPolytope:
         poly = from_vertices(verts)
         if ineqs is not None:
             for v in poly.vertices:
-                if any(_dot(a, v) > b for a, b in ineqs):
+                x, scale = _scaled(v)
+                if any(_int_dot(a, x) > b * scale for a, b in ineqs):
                     raise PolytopeError("vertex and inequality blocks disagree")
             from_h = vrep_from_hrep(ineqs, (), m)
             if set(from_h) != set(poly.vertices):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
-from .errors import InconsistentSamplesError, InputFormatError, InsufficientSamplesError
+from .errors import InconsistentFitError, InputFormatError, InsufficientSamplesError
 from .exactmath import divisors, format_rational, parse_rational, rat_solve
 
 Row = tuple[Fraction, ...]
@@ -140,8 +140,9 @@ def fit_from_samples(
 
     Each residue class r mod period needs at least degree_bound+1 sample
     points; its coefficients come from the exact solution of the Vandermonde
-    system on the first degree_bound+1 of them, and every surplus point is
-    cross-checked against the solution rather than smoothed over.
+    system on the first degree_bound+1 of them.  Every surplus point is then
+    checked against the fitted quasipolynomial rather than smoothed over; a
+    point off it raises ``InconsistentFitError``.
     """
     if period < 1:
         raise ValueError("period must be positive")
@@ -151,6 +152,7 @@ def fit_from_samples(
     for n in sorted(samples):
         by_residue[n % period].append(n)
     rows: list[list[Fraction]] = []
+    surplus: list[int] = []
     for r in range(period):
         points = by_residue[r]
         need = degree_bound + 1
@@ -163,17 +165,12 @@ def fit_from_samples(
         rhs = [Fraction(samples[n]) for n in base]
         coeffs = rat_solve(vander, rhs)
         assert coeffs is not None  # distinct nodes: Vandermonde is invertible
-        for n in points[need:]:
-            value = Fraction(0)
-            for c in reversed(coeffs):
-                value = value * n + c
-            if value != Fraction(samples[n]):
-                raise InconsistentSamplesError(
-                    f"inconsistent samples: residue {r} admits no polynomial of "
-                    f"degree <= {degree_bound} through n={n}"
-                )
         rows.append(coeffs)
+        surplus += points[need:]
     _, canon = minimal_period(from_rows(period, rows))
+    for n in surplus:
+        if evaluate(canon, n) != samples[n]:
+            raise InconsistentFitError(f"inconsistent fit: the value at n={n} is off the fitted quasipolynomial")
     return canon
 
 

@@ -1,17 +1,35 @@
-"""Integer linear algebra that only the tests use, as references.
+"""References that only the tests use.
 
-The Smith normal form and its solver are the span test's earlier
-implementation: ``exactmath.solve_integer`` now decides A·x = b by a column
-echelon form, and the tests compare its verdicts with ``snf_solve``.
-``int_det`` and ``int_solve`` are the fraction-free determinant and square
-solver that the subset construction reference in ``test_construction.py``
-and the Smith-form property tests call.  ``rank_vertices`` and
-``rank_faces`` are the rank tests that vertices and face dimensions were
-decided by before the vertex-facet incidence replaced them, and
-``scanned_hilbert_quasipolynomial`` finds the Hilbert transient by the
-downward scan that the closed form for ``n0`` replaced.
+None of this runs in the package; each function here is an independent way
+to get a result that the package computes another way, or a brute-force
+check of a closed form.
 
-Matrices are plain lists of integer rows.
+Fraction linear algebra: ``rat_rank``, ``rat_nullspace`` and ``rat_det`` by
+rational elimination, and ``affine_hull``, the hull equalities from the
+Fraction nullspace of the point differences.  The package finds hull
+equalities on integers (``polytope.affine_hull`` and ``hrep_from_vrep``
+share one fraction-free reduction).  ``volume`` triangulates a polytope and
+sums Fraction determinants; the tests compare it with the leading
+coefficient of the Ehrhart quasipolynomial.
+
+Series: ``denumerant`` counts the ways to make n from the weights by a
+memoized recursion, ``pole_order_at_one`` cancels numerator roots at t = 1
+to give the degree of the quasipolynomial plus one, and
+``dim_quotient_bruteforce`` scans variable subsets for the quotient
+dimension that ``hilbert.dim_quotient_coprime`` has in closed form.
+
+Integer linear algebra: the Smith normal form and its solver are the span
+test's earlier implementation: ``exactmath.solve_integer`` now decides
+A·x = b by a column echelon form, and the tests compare its verdicts with
+``snf_solve``.  ``int_det`` and ``int_solve`` are the fraction-free
+determinant and square solver that the subset construction reference in
+``test_construction.py`` and the Smith-form property tests call.
+``rank_vertices`` and ``rank_faces`` are the rank tests that vertices and
+face dimensions were decided by before the vertex-facet incidence replaced
+them, and ``scanned_hilbert_quasipolynomial`` finds the Hilbert transient by
+the downward scan that the closed form for ``n0`` replaced.
+
+Matrices are plain lists of rows, of integers or of rationals.
 """
 
 from __future__ import annotations
@@ -21,8 +39,216 @@ from fractions import Fraction
 from typing import Sequence
 
 from quasigrade import quasipoly
-from quasigrade.exactmath import int_rref
+from quasigrade.errors import PolytopeError
+from quasigrade.exactmath import int_rref, lcm_denominators, rat_rref
 from quasigrade.hilbert import HilbertSeries, series_coefficients
+from quasigrade.polytope import hrep_from_vrep
+
+
+def _dot(a: Sequence, x: Sequence) -> Fraction:
+    return sum((Fraction(ai) * xi for ai, xi in zip(a, x)), Fraction(0))
+
+
+def _clear_row(coeffs: Sequence, rhs) -> tuple[tuple[int, ...], int]:
+    """Scale (coeffs | rhs) to coprime integers, keeping the row direction."""
+    scale = lcm_denominators(list(coeffs) + [rhs])
+    ints = [int(c * scale) for c in coeffs] + [int(rhs * scale)]
+    content = math.gcd(*ints) or 1
+    *row, r = [v // content for v in ints]
+    return tuple(row), r
+
+
+def rat_rank(rows: Sequence[Sequence[Fraction | int]]) -> int:
+    """Rank over the rationals, by exact fraction-preserving elimination."""
+    _, pivots = rat_rref(rows)
+    return len(pivots)
+
+
+def rat_nullspace(rows: Sequence[Sequence[Fraction | int]]) -> list[list[Fraction]]:
+    """Basis of the right nullspace {x : rows·x = 0}, deterministic order."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    rref, pivots = rat_rref(rows)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for r, p in enumerate(pivots):
+            vec[p] = -rref[r][f]
+        basis.append(vec)
+    return basis
+
+
+def rat_det(rows: Sequence[Sequence[Fraction | int]]) -> Fraction:
+    """Exact determinant of a square rational matrix (Gaussian elimination)."""
+    n = len(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    det = Fraction(1)
+    for k in range(n):
+        pivot_row = next((i for i in range(k, n) if m[i][k] != 0), None)
+        if pivot_row is None:
+            return Fraction(0)
+        if pivot_row != k:
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            det = -det
+        det *= m[k][k]
+        inv = 1 / m[k][k]
+        for i in range(k + 1, n):
+            if m[i][k] != 0:
+                f = m[i][k] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def affine_hull(points: Sequence[Sequence[Fraction | int]]) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Integer-cleared equations cutting out the affine span of the points.
+
+    The normals are a Fraction nullspace basis of the differences to the
+    first point; each equation is made primitive with a lexicographically
+    positive normal, and the equations are sorted.
+    """
+    pts = [tuple(Fraction(c) for c in p) for p in points]
+    m = len(pts[0])
+    v0 = pts[0]
+    dirs = [[p[j] - v0[j] for j in range(m)] for p in pts[1:]]
+    eqs = []
+    for normal in rat_nullspace(dirs if dirs else [[Fraction(0)] * m]):
+        row, rhs = _clear_row(normal, _dot(normal, v0))
+        if next(v for v in row if v) < 0:
+            row, rhs = tuple(-v for v in row), -rhs
+        eqs.append((row, rhs))
+    return tuple(sorted(eqs))
+
+
+def _triangulate(points: list) -> list[tuple]:
+    eqs = affine_hull(points)
+    m = len(points[0])
+    k = m - len(eqs)
+    if k == 0:
+        return [(points[0],)]
+    ineqs, _ = hrep_from_vrep(points)
+    apex = min(points)
+    out = []
+    for a, b in ineqs:
+        if _dot(a, apex) == b:
+            continue
+        facet_pts = [q for q in points if _dot(a, q) == b]
+        for simplex in _triangulate(facet_pts):
+            out.append((apex,) + simplex)
+    return out
+
+
+def volume(p) -> Fraction:
+    """Exact Euclidean volume of a full-dimensional polytope.
+
+    Fan triangulation from the lexicographically smallest vertex; each simplex
+    contributes |det| / dim!.
+    """
+    if p.dim != p.ambient_dim:
+        raise PolytopeError("not full-dimensional")
+    m = p.ambient_dim
+    total = Fraction(0)
+    for simplex in _triangulate(list(p.vertices)):
+        rows = [[simplex[i][j] - simplex[0][j] for j in range(m)] for i in range(1, m + 1)]
+        total += abs(rat_det(rows))
+    return total / math.factorial(m)
+
+
+def denumerant(weights: Sequence[int], n: int) -> int:
+    """Number of ways to write n as a nonnegative integer combination of the weights.
+
+    Independent oracle for the pure series 1/prod(1 - t^{e_i}): a memoized
+    count over weight prefixes, not a series expansion.
+    """
+    if n < 0:
+        raise ValueError("target must be nonnegative")
+    ws = tuple(weights)
+    memo: dict[tuple[int, int], int] = {}
+
+    def count(idx: int, rem: int) -> int:
+        if rem == 0:
+            return 1
+        if idx == len(ws):
+            return 0
+        key = (idx, rem)
+        if key not in memo:
+            total = count(idx + 1, rem)
+            if rem >= ws[idx]:
+                total += count(idx, rem - ws[idx])
+            memo[key] = total
+        return memo[key]
+
+    return count(0, n)
+
+
+def _divide_by_one_minus_t(p: list[int]) -> list[int]:
+    """Quotient q with p(t) = (1 - t)·q(t); requires p(1) = 0."""
+    q = []
+    acc = 0
+    for coeff in p[:-1]:
+        acc += coeff
+        q.append(acc)
+    return q
+
+
+def pole_order_at_one(hs: HilbertSeries) -> int:
+    """Order of the pole at t = 1 after cancelling numerator roots there."""
+    d = len(hs.denominator_exponents)
+    p = list(hs.numerator)
+    while p and p[-1] == 0:
+        p.pop()
+    if not p:
+        return 0
+    m = 0
+    while m < d and sum(p) == 0:
+        p = _divide_by_one_minus_t(p)
+        m += 1
+    return d - m
+
+
+def _reachable_degrees(weights: tuple[int, ...], cap: int) -> int:
+    """Bitmask of degrees <= cap realized by monomials in the given weights."""
+    reach = 1  # degree 0
+    limit = (1 << (cap + 1)) - 1
+    for w in weights:
+        while True:
+            grown = (reach | (reach << w)) & limit
+            if grown == reach:
+                break
+            reach = grown
+    return reach
+
+
+def dim_quotient_bruteforce(weights: Sequence[int], pi: int, cap: int) -> int:
+    """Brute-force oracle for ``hilbert.dim_quotient_coprime``.
+
+    Monomials of positive degree <= cap with degree coprime to pi generate a
+    monomial ideal; the quotient dimension is the number of variables minus a
+    minimum vertex cover of the generator supports, i.e. the largest variable
+    subset spanning no generator.  All subsets of the (few) variables are
+    scanned; within a subset the achievable degrees are enumerated up to cap.
+    """
+    if pi < 1:
+        raise ValueError("period must be positive")
+    if cap < 1:
+        raise ValueError("cap must be positive")
+    ws = tuple(weights)
+    d = len(ws)
+    coprime_mask = 0
+    for degree in range(1, cap + 1):
+        if math.gcd(degree, pi) == 1:
+            coprime_mask |= 1 << degree
+    best = 0
+    for bits in range(1 << d):
+        subset = tuple(ws[i] for i in range(d) if bits & (1 << i))
+        if _reachable_degrees(subset, cap) & coprime_mask:
+            continue  # subset spans a generator: not independent of the ideal
+        best = max(best, len(subset))
+    return best
 
 
 def identity(n: int) -> list[list[int]]:

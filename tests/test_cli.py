@@ -1,5 +1,6 @@
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 
@@ -216,20 +217,49 @@ def test_negative_count_exits_2(capsys):
     assert out == "checked=0 violations=0\n"
 
 
-def test_internal_assertion_exits_1(capsys, monkeypatch, square_file):
-    # A hull whose facet rows are all tightened by one cuts off the input
-    # points, so the hull self-check in construction trips its assertion.
-    hrep = polytope.hrep_from_vrep
-
+def _tightened(hrep):
     def tightened(points):
         ineqs, eqs = hrep(points)
         return tuple((a, b - 1) for a, b in ineqs), eqs
 
-    monkeypatch.setattr(polytope, "hrep_from_vrep", tightened)
-    code = cli.main(["verify-polytope", square_file])
+    return tightened
+
+
+def _corrupted(index):
+    def wrap(values_of):
+        def corrupted(*args):
+            values = values_of(*args)
+            values[index] += 1
+            return values
+
+        return corrupted
+
+    return wrap
+
+
+@pytest.mark.parametrize(
+    "module, name, wrap, argv, err",
+    [
+        # A hull whose facet rows are all tightened by one cuts off the input
+        # points, so the hull self-check in construction trips its assertion.
+        (polytope, "hrep_from_vrep", _tightened, ["verify-polytope", "{square}"],
+         r"error: internal: point violates its own hull\n"),
+        # One wrong series coefficient (n = 5, in the fitted window of period
+        # 6) or dilate count (n = 4, the surplus count of the square) makes
+        # the fit fail its surplus check.
+        (hilbert, "series_coefficients", _corrupted(5), ["verify-weighted", "--weights", "1,2,3"],
+         r"error: inconsistent fit: [^\n]*\n"),
+        (polytope, "dilate_counts", _corrupted(3), ["ehrhart", "{square}"],
+         r"error: inconsistent fit: [^\n]*\n"),
+    ],
+    ids=["hull", "hilbert-fit", "ehrhart-fit"],
+)
+def test_internal_assertion_exits_1(capsys, monkeypatch, square_file, module, name, wrap, argv, err):
+    monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+    code = cli.main([arg.format(square=square_file) for arg in argv])
     captured = capsys.readouterr()
     assert code == 1
-    assert captured.err == "error: internal: point violates its own hull\n"
+    assert re.fullmatch(err, captured.err), captured.err
     assert captured.out == ""
 
 

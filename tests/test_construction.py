@@ -2,9 +2,9 @@
 
 The Fraction reference is the earliest construction: a hull scan that takes a
 nullspace for every subset of points in Fraction arithmetic, and a vertex
-enumeration that decides emptiness by Fourier-Motzkin elimination.  It is
-slow (Fourier-Motzkin can grow doubly exponentially, and equality rows make
-it grow fastest), so its inputs stay small.
+enumeration that decides emptiness by Fourier-Motzkin elimination of the
+integer rows.  It is slow (Fourier-Motzkin can grow doubly exponentially, and
+equality rows make it grow fastest), so its inputs stay small.
 
 The subset reference is the integer construction that double description
 replaced: a scan of every k-subset of the points with minor-vector normals,
@@ -24,15 +24,9 @@ from hypothesis import given, settings, strategies as st
 
 from quasigrade import polytope as pt
 from quasigrade.errors import PolytopeError
-from quasigrade.exactmath import (
-    lcm_denominators,
-    rat_nullspace,
-    rat_rank,
-    rat_rref,
-    rat_solve,
-)
+from quasigrade.exactmath import lcm_denominators, rat_rref, rat_solve
 
-from oracles import int_det, int_solve
+from oracles import _clear_row, affine_hull, int_det, int_solve, rat_nullspace, rat_rank
 
 
 def _dot(a, x):
@@ -47,25 +41,37 @@ def _affine_rank(points):
 
 
 def reference_hrep(vertices):
-    """Facets from every dim-subset: nullspace normal, side test, rank of the incident points."""
+    """Facets from the dim-subsets: nullspace normal, side test, rank of the incident points.
+
+    A k-subset (k the dimension of the hull) whose differences have rank
+    k - 1 spans one hyperplane of the hull, and every such subset of the
+    points on that hyperplane spans the same one; a subset of lower rank is
+    skipped anyway.  So once a hyperplane is tested, the k-subsets of its
+    points are skipped, and the result is that of the full scan on every
+    input.
+    """
     pts = sorted({tuple(F(c) for c in p) for p in vertices})
     m = len(pts[0])
-    eqs = pt.affine_hull(pts)
+    eqs = affine_hull(pts)
     k = m - len(eqs)
     if k == 0:
         return (), eqs
     rref, pivots = rat_rref([[p[j] - pts[0][j] for j in range(m)] for p in pts[1:]])
     basis = rref[: len(pivots)]
     found = set()
-    for subset in combinations(pts, k):
-        t0 = subset[0]
-        rows = [[_dot(b, [t[j] - t0[j] for j in range(m)]) for b in basis] for t in subset[1:]]
+    tested = set()
+    for subset in combinations(range(len(pts)), k):
+        if subset in tested:
+            continue
+        t0 = pts[subset[0]]
+        rows = [[_dot(b, [pts[i][j] - t0[j] for j in range(m)]) for b in basis] for i in subset[1:]]
         null = rat_nullspace(rows if rows else [[F(0)] * k])
         if len(null) != 1:
             continue
         normal = [sum((null[0][l] * basis[l][j] for l in range(k)), F(0)) for j in range(m)]
         rhs = _dot(normal, t0)
         values = [_dot(normal, p) for p in pts]
+        tested.update(combinations([i for i, v in enumerate(values) if v == rhs], k))
         if all(v <= rhs for v in values):
             pass
         elif all(v >= rhs for v in values):
@@ -77,12 +83,16 @@ def reference_hrep(vertices):
         incident = [p for p, v in zip(pts, values) if v == rhs]
         if _affine_rank(incident) != k - 1:
             continue
-        found.add(pt._clear_row(normal, rhs))
+        found.add(_clear_row(normal, rhs))
     return tuple(sorted(found)), eqs
 
 
 def fourier_motzkin_feasible(rows, m):
-    """Whether {a·x <= b} has a solution, by eliminating one variable at a time."""
+    """Whether {a·x <= b} has a solution, by eliminating one variable at a time.
+
+    The rows are integer; each combination of two rows is made primitive, so
+    the arithmetic stays on integers.
+    """
     current = rows
     for j in range(m):
         zero, pos, neg = [], [], []
@@ -96,19 +106,19 @@ def fourier_motzkin_feasible(rows, m):
         seen = set()
         current = []
         for a, b in combined:
-            key = pt._clear_row(a, b)
+            key = _clear_row(a, b)
             if key not in seen:
                 seen.add(key)
-                current.append(([F(v) for v in key[0]], F(key[1])))
+                current.append(key)
     return all(b >= 0 for _, b in current)
 
 
 def reference_vrep(ineqs, eqs, m):
     """Vertices by Fourier-Motzkin emptiness, a ray test and every square subsystem."""
-    rows = [([F(c) for c in a], F(b)) for a, b in ineqs]
+    rows = list(ineqs)
     for c, d in eqs:
-        rows.append(([F(v) for v in c], F(d)))
-        rows.append(([F(-v) for v in c], F(-d)))
+        rows.append((c, d))
+        rows.append(([-v for v in c], -d))
     if not fourier_motzkin_feasible(rows, m):
         raise PolytopeError("empty")
     normals = [list(a) for a, _ in ineqs] + [list(c) for c, _ in eqs]
@@ -170,7 +180,7 @@ def subset_hrep(vertices):
     """
     pts = sorted({tuple(F(c) for c in p) for p in vertices})
     m = len(pts[0])
-    eqs = pt.affine_hull(pts)
+    eqs = affine_hull(pts)
     k = m - len(eqs)
     if k == 0:
         return (), eqs
@@ -199,7 +209,7 @@ def subset_hrep(vertices):
         if above:
             normal = [-c for c in normal]
         ambient = [_dot(normal, column) for column in zip(*dual)]
-        rows.append(pt._clear_row(ambient, _dot(ambient, pts[subset[0]])))
+        rows.append(_clear_row(ambient, _dot(ambient, pts[subset[0]])))
     return tuple(sorted(rows)), eqs
 
 
@@ -225,12 +235,12 @@ def square_system_vrep(inequalities, equalities, m):
     eq_rref, eq_pivots = rat_rref([list(c) + [d] for c, d in eqs])
     if m in eq_pivots:
         raise PolytopeError("empty")
-    pinned = [pt._clear_row(row[:m], row[m]) for row in eq_rref[: len(eq_pivots)]]
-    pinned += [pt._clear_row(v, F(0)) for v in lineality]
+    pinned = [_clear_row(row[:m], row[m]) for row in eq_rref[: len(eq_pivots)]]
+    pinned += [_clear_row(v, F(0)) for v in lineality]
     by_direction: dict[tuple[int, ...], set] = {}
     for a, b in ineqs:
         if any(a):
-            by_direction.setdefault(_direction(a), set()).add(pt._clear_row(a, b))
+            by_direction.setdefault(_direction(a), set()).add(_clear_row(a, b))
     subsets = (s for groups in combinations(by_direction.values(), m - len(pinned)) for s in product(*groups))
     seen = set()
     for subset in subsets:
@@ -318,6 +328,16 @@ def test_clouds_match_reference(points):
     assert _outcome(lambda: _fields(pt.from_point_cloud(points))) == expected
     strict = _outcome(reference_assemble, points, True)
     assert _outcome(lambda: _fields(pt.from_vertices(points))) == strict
+
+
+@settings(max_examples=200)
+@given(clouds(), st.data())
+def test_affine_hull_matches_fraction_reference(points, data):
+    # The clouds span every dimension from a point to the whole space;
+    # repeats of drawn points and a shuffle are added on top.
+    repeats = data.draw(st.lists(st.sampled_from(points), max_size=3))
+    points = data.draw(st.permutations(points + repeats))
+    assert pt.affine_hull(points) == affine_hull(points)
 
 
 @settings(max_examples=200)

@@ -9,14 +9,22 @@ from quasigrade.exactmath import (
     format_rational,
     lcm_denominators,
     parse_rational,
-    rat_det,
-    rat_rank,
     rat_solve,
     solve_integer,
 )
 from quasigrade.rng import XorShift64Star
 
-from oracles import identity, int_det, int_rank, int_solve, mat_mul, smith_normal_form, snf_solve
+from oracles import (
+    identity,
+    int_det,
+    int_rank,
+    int_solve,
+    mat_mul,
+    rat_det,
+    rat_rank,
+    smith_normal_form,
+    snf_solve,
+)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from quasigrade.errors import PolytopeError
 from quasigrade.exactmath import solve_integer
 from quasigrade.rng import XorShift64Star
 
-from oracles import rank_faces, rank_vertices, snf_solve
+from oracles import affine_hull, rank_faces, rank_vertices, snf_solve
 from test_construction import h_systems, larger_h_systems
 
 POLYTOPE_DIR = os.path.join(os.path.dirname(os.path.dirname(__file__)), "polytopes")
@@ -188,7 +188,7 @@ def reference_faces(p):
     faces = []
     for vset in known:
         indices = tuple(sorted(vset))
-        eqs = pt.affine_hull([p.vertices[i] for i in indices])
+        eqs = affine_hull([p.vertices[i] for i in indices])
         faces.append(fc.Face(indices, p.ambient_dim - len(eqs), eqs))
     return sorted(faces, key=lambda f: (f.dim, f.vertex_indices))
 

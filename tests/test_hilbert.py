@@ -7,17 +7,14 @@ from quasigrade import quasipoly as qp
 from quasigrade.hilbert import (
     HilbertSeries,
     WeightedModulePresentation,
-    denumerant,
-    dim_quotient_bruteforce,
     dim_quotient_coprime,
     hilbert_quasipolynomial,
-    pole_order_at_one,
     series_coefficients,
     verify_grade_bound_weighted,
 )
 from quasigrade.rng import XorShift64Star
 
-from oracles import scanned_hilbert_quasipolynomial
+from oracles import denumerant, dim_quotient_bruteforce, pole_order_at_one, scanned_hilbert_quasipolynomial
 
 
 def test_series_examples():

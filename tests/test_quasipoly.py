@@ -3,13 +3,15 @@ from fractions import Fraction as F
 
 import pytest
 
-from quasigrade import hilbert, quasipoly as qp
+from quasigrade import quasipoly as qp
 from quasigrade.errors import (
-    InconsistentSamplesError,
+    InconsistentFitError,
     InputFormatError,
     InsufficientSamplesError,
 )
 from quasigrade.rng import XorShift64Star
+
+from oracles import denumerant
 
 # floor(n/2) + 1 as a period-2 table: even row 1 + n/2, odd row 1/2 + n/2.
 HALF = qp.QuasiPolynomial(2, 1, ((F(1), F(1, 2)), (F(1, 2), F(1, 2))))
@@ -49,7 +51,7 @@ def test_minimal_period_declared_four():
 def test_minimal_period_denumerant_123():
     # Fit the coin-counting function for weights (1, 2, 3) from its DP oracle;
     # its constituents repeat only with period 6.
-    samples = {n: hilbert.denumerant((1, 2, 3), n) for n in range(1, 19)}
+    samples = {n: denumerant((1, 2, 3), n) for n in range(1, 19)}
     fitted = qp.fit_from_samples(samples, 6, 2)
     assert fitted.period == 6
     pi, _ = qp.minimal_period(fitted)
@@ -59,7 +61,7 @@ def test_minimal_period_denumerant_123():
 def test_grade_examples():
     assert qp.grade(qp.polynomial([1, 2, 1])) == -1
     assert qp.grade(HALF) == 0
-    samples = {n: hilbert.denumerant((2, 2), n) for n in range(1, 9)}
+    samples = {n: denumerant((2, 2), n) for n in range(1, 9)}
     fitted = qp.fit_from_samples(samples, 2, 1)
     assert qp.grade(fitted) == 1
     assert qp.grade(qp.ZERO) == -1
@@ -98,7 +100,7 @@ def test_fit_examples():
     assert fitted2 == HALF
     with pytest.raises(InsufficientSamplesError, match="residue 0"):
         qp.fit_from_samples({1: 4, 2: 9}, 1, 2)
-    with pytest.raises(InconsistentSamplesError):
+    with pytest.raises(InconsistentFitError, match="^inconsistent fit: the value at n=3 "):
         qp.fit_from_samples({n: 2**n for n in (0, 1, 2, 3)}, 1, 2)
 
 
