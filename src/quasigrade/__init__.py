@@ -17,7 +17,6 @@ order, brute-force quotient dimension, Fraction linear algebra) live in
 """
 
 from .exactmath import (
-    Rational,
     format_rational,
     lcm_denominators,
     parse_rational,

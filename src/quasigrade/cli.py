@@ -33,8 +33,6 @@ def _parse_int_list(text: str, what: str, minimum: int) -> tuple[int, ...]:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise QuasigradeError(f"{what} must be a comma-separated integer list") from None
-    if not values:
-        raise QuasigradeError(f"{what} must be nonempty")
     if any(v < minimum for v in values):
         raise QuasigradeError(f"{what} entries must be >= {minimum}")
     return values

@@ -18,10 +18,6 @@ from typing import Iterable, Sequence
 
 from .errors import InputFormatError
 
-# The universal scalar type.  Fraction already guarantees the invariants we
-# need: denominator > 0 and gcd(|numerator|, denominator) = 1.
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^(-?\d+)(?:/(\d+))?$")
 
 

@@ -134,9 +134,6 @@ class EhrhartGradeReport:
     holds: bool
     face_results: tuple[tuple[Face, bool], ...]
 
-    def failing_faces(self, delta: int) -> list[Face]:
-        return [f for f, ok in self.face_results if f.dim == delta and not ok]
-
     @property
     def gap(self) -> int | None:
         if self.delta_star is None:
@@ -152,15 +149,14 @@ def verify_ehrhart_grade_bound(p: RationalPolytope) -> EhrhartGradeReport:
     False outcome otherwise signals a defect in this package.
     """
     q = _polytope.ehrhart_quasipolynomial(p)
-    pi_min, canon = quasipoly.minimal_period(q)
-    g = quasipoly.grade(canon)
+    g = quasipoly.grade(q)
     results = _span_results(p)
     delta_star = _delta_star(results, p.dim)
     holds = True if delta_star is None else g < delta_star
     return EhrhartGradeReport(
         polytope=p,
-        quasipolynomial=canon,
-        pi_min=pi_min,
+        quasipolynomial=q,
+        pi_min=q.period,
         grade=g,
         delta_star=delta_star,
         holds=holds,

@@ -145,14 +145,13 @@ def verify_grade_bound_weighted(p: WeightedModulePresentation) -> WeightedGradeR
     this package, not in the input.
     """
     q, n0 = hilbert_quasipolynomial(p.series())
-    pi_min, canon = quasipoly.minimal_period(q)
-    g = quasipoly.grade(canon)
-    bound = dim_quotient_coprime(p.weights, pi_min)
+    g = quasipoly.grade(q)
+    bound = dim_quotient_coprime(p.weights, q.period)
     return WeightedGradeReport(
         presentation=p,
-        quasipolynomial=canon,
+        quasipolynomial=q,
         n0=n0,
-        pi_min=pi_min,
+        pi_min=q.period,
         grade=g,
         bound=bound,
         holds=g < bound,

@@ -68,11 +68,6 @@ def from_rows(period: int, rows: list[list[Fraction]]) -> QuasiPolynomial:
     return QuasiPolynomial(period, width - 1, tuple(tuple(row[:width]) for row in padded))
 
 
-def polynomial(coeffs: list[Fraction | int]) -> QuasiPolynomial:
-    """True polynomial (period 1) with ascending coefficients."""
-    return from_rows(1, [[Fraction(c) for c in coeffs]])
-
-
 def evaluate(q: QuasiPolynomial, n: int) -> Fraction:
     """Q(n); n may be negative, the residue is taken in {0, ..., period-1}."""
     if q.degree == -1:
@@ -142,7 +137,9 @@ def fit_from_samples(
     points; its coefficients come from the exact solution of the Vandermonde
     system on the first degree_bound+1 of them.  Every surplus point is then
     checked against the fitted quasipolynomial rather than smoothed over; a
-    point off it raises ``InconsistentFitError``.
+    point off it raises ``InconsistentFitError``.  The table returned is
+    already reduced to its minimal period, so callers need not reduce it
+    again.
     """
     if period < 1:
         raise ValueError("period must be positive")

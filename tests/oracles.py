@@ -29,6 +29,9 @@ face dimensions were decided by before the vertex-facet incidence replaced
 them, and ``scanned_hilbert_quasipolynomial`` finds the Hilbert transient by
 the downward scan that the closed form for ``n0`` replaced.
 
+``polynomial`` builds a true polynomial (period 1) from ascending
+coefficients, to state expected quasipolynomials.
+
 Matrices are plain lists of rows, of integers or of rationals.
 """
 
@@ -43,6 +46,11 @@ from quasigrade.errors import PolytopeError
 from quasigrade.exactmath import int_rref, lcm_denominators, rat_rref
 from quasigrade.hilbert import HilbertSeries, series_coefficients
 from quasigrade.polytope import hrep_from_vrep
+
+
+def polynomial(coeffs: Sequence[Fraction | int]) -> quasipoly.QuasiPolynomial:
+    """True polynomial (period 1) with ascending coefficients."""
+    return quasipoly.from_rows(1, [[Fraction(c) for c in coeffs]])
 
 
 def _dot(a: Sequence, x: Sequence) -> Fraction:

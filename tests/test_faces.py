@@ -127,7 +127,8 @@ def test_verify_reports(square, halfseg, tri_half):
     assert (r.grade, r.delta_star, r.holds) == (-1, 0, True)
     r2 = fc.verify_ehrhart_grade_bound(halfseg)
     assert (r2.grade, r2.delta_star, r2.pi_min, r2.holds) == (0, 1, 2, True)
-    assert r2.failing_faces(0) and not r2.failing_faces(1)
+    # A vertex span fails (the vertex 1/2), no edge span does.
+    assert [f.dim for f, ok in r2.face_results if not ok] == [0]
     r3 = fc.verify_ehrhart_grade_bound(tri_half)
     assert (r3.grade, r3.delta_star, r3.holds) == (1, 2, True)
     assert r3.gap == 0

@@ -86,7 +86,7 @@ def test_overflow_guard_falls_back_to_python():
     big = 2**63
     lo, hi = [0], [3]
     ineqs = [((big,), 2 * big)]
-    assert not kn._fits_int64(lo, hi, ineqs, [])
+    assert not kn._fits_int64(lo, hi, ineqs)
     # 2^63·x <= 2^64  ->  x in {0, 1, 2}; int64 would overflow, the counter
     # must still return the exact answer on Python integers.
     assert kn.count_box(lo, hi, ineqs, []) == 3
@@ -96,8 +96,8 @@ def test_guard_bounds_the_chunk_sum(monkeypatch):
     # No rows at all, but a last axis so wide that a full chunk's sum of
     # slice lengths could pass 2^62.
     monkeypatch.setattr(kn, "_CHUNK_LIMIT", 1 << 16)
-    assert kn._fits_int64([0, 0], [3, 2**44], [], [])
-    assert not kn._fits_int64([0, 0], [3, 2**46], [], [])
+    assert kn._fits_int64([0, 0], [3, 2**44], [])
+    assert not kn._fits_int64([0, 0], [3, 2**46], [])
     assert kn.count_box([0, 0], [3, 2**46], [], []) == 4 * (2**46 + 1)
 
 
@@ -132,18 +132,21 @@ def test_batch_guard_covers_its_largest_box():
     # right-hand side, and int64 arithmetic would overflow on it, so the
     # whole batch must run on Python integers, in either order.
     wide, far = 2**62, 2**63 - 2
-    assert not kn._fits_int64([0, 0], [3, wide], [], [])
-    assert not kn._fits_int64([0, 0], [3, 3], [((-1, 1), far)], [])
-    assert kn._fits_int64([0, 0], [3, 3], [((-1, 1), 4)], [])
+    assert not kn._fits_int64([0, 0], [3, wide], [])
+    assert not kn._fits_int64([0, 0], [3, 3], [((-1, 1), far)])
+    assert kn._fits_int64([0, 0], [3, 3], [((-1, 1), 4)])
     batches = [
         # Four slices of 2^62 + 1 points sum past 2^63.
-        ([], [([0, 0], [3, 3], [], []), ([0, 0], [3, wide], [], [])], [16, 4 * (wide + 1)]),
+        ([], [], [([0, 0], [3, 3], [], []), ([0, 0], [3, wide], [], [])], [16, 4 * (wide + 1)]),
         # s = far + x_1 passes 2^63 for x_1 >= 2.
-        ([(-1, 1)], [([0, 0], [3, 3], [4], []), ([0, 0], [3, 3], [far], [])], [16, 16]),
+        ([(-1, 1)], [], [([0, 0], [3, 3], [4], []), ([0, 0], [3, 3], [far], [])], [16, 16]),
+        # Only an equality's right-hand side is large: x_2 = x_1 + 2^63 has
+        # no point in the box, and 2^63 has no int64 form.
+        ([], [(-1, 1)], [([0, 0], [3, 3], [], [0]), ([0, 0], [3, 3], [], [2**63])], [4, 0]),
     ]
-    for normals, boxes, expected in batches:
-        assert kn.count_boxes(normals, [], boxes) == expected
-        assert kn.count_boxes(normals, [], boxes[::-1]) == expected[::-1]
+    for ineq_normals, eq_normals, boxes, expected in batches:
+        assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected
+        assert kn.count_boxes(ineq_normals, eq_normals, boxes[::-1]) == expected[::-1]
 
 
 _coeff = st.integers(-3, 3)
@@ -179,7 +182,7 @@ def test_slice_counter_matches_brute_force(python_ints, batch):
             assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected
             assert [kn.count_box(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows)] == expected
     else:
-        assert all(kn._fits_int64(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows))
+        assert all(kn._fits_int64(lo, hi, ineqs + eqs) for (lo, hi, _, _), (ineqs, eqs) in zip(boxes, rows))
         assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected
         assert [kn.count_box(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows)] == expected
 
