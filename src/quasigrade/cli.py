@@ -6,6 +6,10 @@ assertion trips (all signal a defect in this package, never bad input), 2 on
 malformed or infeasible input and on input too large for the memory at hand.
 When the reader of stdout goes away (as in ``... | head -1``), the command
 stops quietly and exits 0.
+
+``main`` builds the argument parser on its first call and reuses it for every
+later call in the same process, so in-process callers do not pay for it
+again; each call still parses into a fresh namespace.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -28,12 +33,12 @@ EXIT_VIOLATION = 1
 EXIT_INPUT = 2
 
 
-def _parse_int_list(text: str, what: str, minimum: int) -> tuple[int, ...]:
+def _parse_int_list(text: str, what: str, minimum: int | None = None) -> tuple[int, ...]:
     try:
         values = tuple(int(part) for part in text.split(","))
     except ValueError:
         raise QuasigradeError(f"{what} must be a comma-separated integer list") from None
-    if any(v < minimum for v in values):
+    if minimum is not None and any(v < minimum for v in values):
         raise QuasigradeError(f"{what} entries must be >= {minimum}")
     return values
 
@@ -77,13 +82,7 @@ def _cmd_verify_polytope(args: argparse.Namespace) -> int:
 
 def _cmd_hilbert(args: argparse.Namespace) -> int:
     weights = _parse_int_list(args.weights, "--weights", 1)
-    if args.numerator:
-        try:
-            numerator = tuple(int(p) for p in args.numerator.split(","))
-        except ValueError:
-            raise QuasigradeError("--numerator must be a comma-separated integer list") from None
-    else:
-        numerator = (1,)
+    numerator = _parse_int_list(args.numerator, "--numerator") if args.numerator else (1,)
     series = HilbertSeries.make(numerator, weights)
     q, n0 = hilbert.hilbert_quasipolynomial(series)
     print(quasipoly.format_quasipolynomial(q))
@@ -196,6 +195,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify_polytope)
 
     p = sub.add_parser("hilbert", help="quasipolynomial of a rational series")
+    # argparse takes "-1" for a value but "-1,3" for an unknown option.  This
+    # parser has no option that starts with a digit, so any token that does
+    # is a value, and a negative numerator can follow "--numerator".
+    p._negative_number_matcher = re.compile(r"^-\d")
     p.add_argument("--weights", required=True, help="denominator exponents e1,e2,...")
     p.add_argument("--numerator", default="", help="ascending numerator coefficients c0,c1,...")
     p.set_defaults(func=_cmd_hilbert)
@@ -218,9 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # built by the first call of main
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

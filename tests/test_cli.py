@@ -120,6 +120,37 @@ def test_hilbert_with_numerator(capsys):
     assert out.splitlines()[0:2] == ["period=1 degree=0", "0: 2"]
 
 
+def test_negative_numerator_after_a_space(capsys):
+    # A numerator led by a negative coefficient is a value, not an unknown
+    # option, whether it follows "--numerator" or "--numerator=".
+    code, spaced = run(capsys, "hilbert", "--weights", "1,1,2", "--numerator", "-1,3")
+    assert code == 0
+    assert run(capsys, "hilbert", "--weights", "1,1,2", "--numerator=-1,3") == (0, spaced)
+    assert spaced.splitlines()[1] == "0: 1/2 1/2 -1"
+    for bad in ("-1,x", "1,x"):
+        assert cli.main(["hilbert", "--weights", "1,1,2", "--numerator", bad]) == 2
+        assert capsys.readouterr().err == "error: --numerator must be a comma-separated integer list\n"
+
+
+def test_parser_is_built_once_and_keeps_no_state(capsys, square_file):
+    code, out = run(capsys, "ehrhart", square_file, "--max-dilate", "3")
+    assert code == 0
+    assert out.count("count n=") == 3
+    parser = cli._parser
+    code, out = run(capsys, "ehrhart", square_file)
+    assert (code, out) == (0, "period=1 degree=2\n0: 1 2 1\n")
+    assert cli._parser is parser
+
+
+def test_parser_error_then_valid_call(capsys, square_file):
+    with pytest.raises(SystemExit) as err:
+        cli.main(["ehrhart", square_file, "--max-dilate", "x"])
+    assert err.value.code == 2
+    assert "invalid int value: 'x'" in capsys.readouterr().err
+    code, out = run(capsys, "ehrhart", square_file, "--max-dilate", "1")
+    assert (code, out) == (0, "period=1 degree=2\n0: 1 2 1\ncount n=1 value=4\n")
+
+
 def test_verify_weighted(capsys):
     code, out = run(capsys, "verify-weighted", "--weights", "2,2")
     assert code == 0

@@ -153,8 +153,11 @@ _coeff = st.integers(-3, 3)
 
 
 @st.composite
-def _boxes(draw):
-    """1-4 boxes on shared row normals, as (inequality normals, equality normals, boxes)."""
+def _boxes(draw, max_width=4):
+    """1-4 boxes on shared row normals, as (inequality normals, equality normals, boxes).
+
+    Widths are 0-4, and 0-max_width on the last prefix axis.
+    """
     m = draw(st.integers(1, 4))
     normal = st.lists(_coeff, min_size=m, max_size=m).map(tuple)
     ineq_normals = draw(st.lists(normal, max_size=4))
@@ -163,7 +166,7 @@ def _boxes(draw):
     for _ in range(draw(st.integers(1, 4))):
         lo = [draw(st.integers(-3, 2)) for _ in range(m)]
         # A width of 0 makes the box empty.
-        hi = [l + draw(st.integers(0, 4)) - 1 for l in lo]
+        hi = [l + draw(st.integers(0, max_width if j == m - 2 else 4)) - 1 for j, l in enumerate(lo)]
         b = [draw(st.integers(-8, 8)) for _ in ineq_normals]
         d = [draw(st.integers(-8, 8)) for _ in eq_normals]
         boxes.append((lo, hi, b, d))
@@ -185,6 +188,63 @@ def test_slice_counter_matches_brute_force(python_ints, batch):
         assert all(kn._fits_int64(lo, hi, ineqs + eqs) for (lo, hi, _, _), (ineqs, eqs) in zip(boxes, rows))
         assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected
         assert [kn.count_box(lo, hi, *r) for (lo, hi, _, _), r in zip(boxes, rows)] == expected
+
+
+@settings(max_examples=300)
+@given(limit=st.integers(1, 7), lo=st.lists(st.integers(-3, 3), max_size=4), data=st.data())
+def test_sub_boxes_tile_the_box(limit, lo, data):
+    widths = [data.draw(st.integers(1, 9)) for _ in lo]
+    hi = [l + w - 1 for l, w in zip(lo, widths)]
+    with mock.patch.object(kn, "_CHUNK_LIMIT", limit):
+        pieces = list(kn._sub_boxes(lo, widths))
+        # Two copies of the box with a last axis appended, packed into chunks.
+        chunks = list(kn._chunks([lo + [0]] * 2, [hi + [5]] * 2))
+    # Each sub-box and each chunk holds at most the chunk limit of prefixes,
+    # and the sub-boxes hold every point of the box once, in row-major order.
+    assert all(math.prod(w) <= limit for _, w in pieces)
+    assert all(sum(size for _, _, _, size in chunk) <= limit for chunk in chunks)
+    assert [(k, c, w) for chunk in chunks for k, c, w, _ in chunk] == [(k, c, w) for k in (0, 1) for c, w in pieces]
+    points = [x for corner, w in pieces for x in itertools.product(*(range(c, c + k) for c, k in zip(corner, w)))]
+    assert points == list(itertools.product(*(range(l, l + w) for l, w in zip(lo, widths))))
+
+
+# Batches that every chunk limit of 1-7 splits: the last prefix axis alone is
+# wider than the limit; m = 1, with no prefix axis; no rows at all; and empty
+# boxes between live ones.
+_SPLIT_EXAMPLES = [
+    ([(1, -2, 1), (0, 1, 0)], [], [([0, -4, 0], [1, 4, 2], [3, 2], []), ([0, 0, 0], [0, 8, 1], [9, 5], [])]),
+    ([(2,), (-3,)], [(1,)], [([-5], [5], [7, 6], [2]), ([0], [-1], [1, 1], [0]), ([-2], [9], [3, 9], [1])]),
+    ([], [], [([0, 0, 0], [2, 8, 1], [], []), ([0, 1, 0], [1, 0, 1], [], []), ([-1, -1, -1], [1, 1, 1], [], [])]),
+    ([(1, 1, 1)], [(0, 1, -1)], [([0, 0, 0], [3, 3, 3], [5], [0]), ([1, 1, 2], [1, 0, 3], [5], [0]),
+                                 ([0, 0, 0], [0, 0, 0], [5], [0]), ([-2, 0, 0], [2, 6, 2], [4], [1])]),
+]
+
+
+def _check_split_batch(limit, python_ints, batch):
+    ineq_normals, eq_normals, boxes = batch
+    expected = [
+        brute_force_count(lo, hi, list(zip(ineq_normals, b)), list(zip(eq_normals, d))) for lo, hi, b, d in boxes
+    ]
+    with mock.patch.object(kn, "_CHUNK_LIMIT", limit):
+        if python_ints:
+            with mock.patch.object(kn, "_fits_int64", lambda *args: False):
+                assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected, limit
+        else:
+            assert kn.count_boxes(ineq_normals, eq_normals, boxes) == expected, limit
+
+
+@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "object"])
+@pytest.mark.parametrize("batch", _SPLIT_EXAMPLES, ids=["wide-last-prefix", "m1", "no-rows", "empty-between"])
+def test_split_examples_match_brute_force(python_ints, batch):
+    for limit in range(1, 8):
+        _check_split_batch(limit, python_ints, batch)
+
+
+@pytest.mark.parametrize("python_ints", [False, True], ids=["int64", "object"])
+@settings(max_examples=200)
+@given(limit=st.integers(1, 7), batch=_boxes(max_width=9))
+def test_split_boxes_match_brute_force(python_ints, limit, batch):
+    _check_split_batch(limit, python_ints, batch)
 
 
 def _relint_count(p, n):
